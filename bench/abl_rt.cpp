@@ -133,16 +133,22 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
   std::map<std::string, double> entries;
 };
 
-/// slots/sec for the N-cell run, or 0 if that run is missing.
+/// slots/sec for the N-cell run, or 0 if that run is missing. With
+/// --benchmark_repetitions the `_median` aggregate is the rate (the plain
+/// key holds only the last repetition); `_mean`/`_stddev`/`_cv` never are.
 double cells_ips(const std::map<std::string, double>& entries, uint32_t n) {
   const std::string tag = "cells:" + std::to_string(n) + "/";
+  const std::string field = ".items_per_second";
+  double plain = 0.0;
   for (const auto& [key, value] : entries) {
-    if (key.find(tag) != std::string::npos &&
-        key.size() > 17 && key.rfind(".items_per_second") == key.size() - 17) {
-      return value;
+    if (key.find(tag) == std::string::npos || !key.ends_with(field)) continue;
+    const std::string run = key.substr(0, key.size() - field.size());
+    if (run.ends_with("_median")) return value;
+    if (!run.ends_with("_mean") && !run.ends_with("_stddev") && !run.ends_with("_cv")) {
+      plain = value;
     }
   }
-  return 0.0;
+  return plain;
 }
 
 }  // namespace

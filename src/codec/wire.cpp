@@ -1,25 +1,43 @@
 #include "codec/wire.h"
 
+#include <cstring>
+
 #include "common/bytes.h"
 
 namespace waran::codec::wire {
 
+namespace {
+
+// Fixed-width little-endian stores (the host is little endian, as
+// ByteWriter assumes too).
+template <class T>
+void store(uint8_t* at, T v) {
+  std::memcpy(at, &v, sizeof v);
+}
+
+}  // namespace
+
 std::vector<uint8_t> encode_request(const SchedRequest& req) {
-  ByteWriter w;
-  w.u32le(req.slot);
-  w.u32le(req.prb_quota);
-  w.u32le(static_cast<uint32_t>(req.ues.size()));
+  const uint32_t n = static_cast<uint32_t>(req.ues.size());
+  // One allocation of the exact size; value-initialized, so the record
+  // padding (keeps f64 fields 8-aligned in plugin memory) is already 0.
+  std::vector<uint8_t> out(kReqHeaderSize + static_cast<size_t>(kUeRecordSize) * n);
+  uint8_t* p = out.data();
+  store(p + 0, req.slot);
+  store(p + 4, req.prb_quota);
+  store(p + 8, n);
+  p += kReqHeaderSize;
   for (const UeInfo& ue : req.ues) {
-    w.u32le(ue.rnti);
-    w.u32le(ue.cqi);
-    w.u32le(ue.mcs);
-    w.u32le(ue.buffer_bytes);
-    w.u32le(ue.tbs_per_prb);
-    w.u32le(0);  // padding: keep f64 fields 8-aligned in plugin memory
-    w.f64le(ue.avg_tput_bps);
-    w.f64le(ue.achievable_bps);
+    store(p + kUeRnti, ue.rnti);
+    store(p + kUeCqi, ue.cqi);
+    store(p + kUeMcs, ue.mcs);
+    store(p + kUeBufferBytes, ue.buffer_bytes);
+    store(p + kUeTbsPerPrb, ue.tbs_per_prb);
+    store(p + kUeAvgTput, ue.avg_tput_bps);
+    store(p + kUeAchievable, ue.achievable_bps);
+    p += kUeRecordSize;
   }
-  return w.take();
+  return out;
 }
 
 Result<SchedRequest> decode_request(std::span<const uint8_t> bytes) {

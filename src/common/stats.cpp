@@ -1,6 +1,7 @@
 #include "common/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace waran {
@@ -49,28 +50,40 @@ double QuantileAcc::stddev() const {
   return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
 }
 
+void RateMeter::grow(size_t min_capacity) {
+  const size_t cap = std::bit_ceil(std::max<size_t>(min_capacity, 16));
+  auto ring = std::make_unique_for_overwrite<Entry[]>(cap);
+  for (size_t i = 0; i < count_; ++i) ring[i] = ring_[(head_ + i) & mask_];
+  ring_ = std::move(ring);
+  mask_ = cap - 1;
+  head_ = 0;
+}
+
 void RateMeter::add(double t, uint64_t bits) {
-  // Clamp regressions forward: entries_ must stay sorted by time or evict()
+  // Clamp regressions forward: the ring must stay sorted by time or evict()
   // would drop the wrong end of the window.
-  if (!entries_.empty() && t < entries_.back().t) t = entries_.back().t;
-  entries_.push_back({t, bits});
+  if (count_ > 0 && t < back().t) t = back().t;
+  if (count_ == capacity()) grow(ring_ ? 2 * count_ : first_capacity_);
+  ring_[(head_ + count_) & mask_] = {t, bits};
+  ++count_;
   window_bits_ += bits;
   total_bits_ += bits;
   evict(t);
 }
 
 void RateMeter::evict(double t) const {
-  while (!entries_.empty() && entries_.front().t < t - window_s_) {
-    window_bits_ -= entries_.front().bits;
-    entries_.pop_front();
+  while (count_ > 0 && front().t < t - window_s_) {
+    window_bits_ -= front().bits;
+    head_ = (head_ + 1) & mask_;
+    --count_;
   }
 }
 
 double RateMeter::rate_bps(double t) const {
-  if (entries_.empty()) return 0.0;
+  if (count_ == 0) return 0.0;
   // A stale query (earlier than the newest arrival) would count bits that
   // arrive "after" the window's right edge; anchor it to the newest entry.
-  if (t < entries_.back().t) t = entries_.back().t;
+  if (t < back().t) t = back().t;
   evict(t);
   if (window_s_ <= 0) return 0.0;
   return static_cast<double>(window_bits_) / window_s_;

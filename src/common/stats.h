@@ -6,7 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <vector>
 
 namespace waran {
@@ -48,26 +48,48 @@ class QuantileAcc {
 /// monotone; a timestamp older than the newest recorded entry is clamped
 /// forward so the window never un-sorts (clock skew between reporting paths
 /// must not corrupt eviction).
+///
+/// Entries live in a power-of-two ring, allocated by the first add() with
+/// room for `capacity` entries (at least 16) and left uninitialized: a
+/// slot is always written before it is read. Given a `capacity` of at
+/// least the most entries one window holds (the MAC passes one per slot of
+/// window, plus two), later adds never allocate; a caller that overfills
+/// the ring makes it double, keeping every entry. Allocating at the first
+/// add rather than at construction keeps a cell's set-up from faulting in
+/// every UE's ring pages at once.
 class RateMeter {
  public:
-  explicit RateMeter(double window_s = 1.0) : window_s_(window_s) {}
+  explicit RateMeter(double window_s = 1.0, size_t capacity = 0)
+      : window_s_(window_s), first_capacity_(capacity) {}
 
   void add(double t, uint64_t bits);
   /// Average bit/s over [t - window, t]. Query times earlier than the newest
   /// recorded entry are clamped to it; an empty window reports 0.
   double rate_bps(double t) const;
   uint64_t total_bits() const { return total_bits_; }
+  /// Entries held (inside the window as of the last add or query).
+  size_t size() const { return count_; }
+  /// Ring slots allocated.
+  size_t capacity() const { return ring_ ? mask_ + 1 : 0; }
 
  private:
   struct Entry {
     double t;
     uint64_t bits;
   };
+  const Entry& front() const { return ring_[head_]; }
+  const Entry& back() const { return ring_[(head_ + count_ - 1) & mask_]; }
+  void grow(size_t min_capacity);
+  void evict(double t) const;
+
   double window_s_;
-  mutable std::deque<Entry> entries_;
+  size_t first_capacity_;  // ring size requested for the first add()
+  std::unique_ptr<Entry[]> ring_;
+  size_t mask_ = 0;  // capacity - 1 (capacity is a power of two)
+  mutable size_t head_ = 0;
+  mutable size_t count_ = 0;
   mutable uint64_t window_bits_ = 0;
   uint64_t total_bits_ = 0;
-  void evict(double t) const;
 };
 
 /// Aggregates per-call cost records — fuel used, instructions retired, wall

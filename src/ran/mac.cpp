@@ -29,13 +29,19 @@ void GnbMac::add_slice(const SliceConfig& config,
   state.config = config;
   state.scheduler = std::move(scheduler);
   auto& reg = obs::MetricsRegistry::global();
-  std::string id = std::to_string(config.slice_id);
-  obs::Labels labels = {{"cell", std::to_string(config_.cell)}, {"slice", id}};
+  // Labels hold string_views: both strings must outlive `labels`.
+  const std::string cell = std::to_string(config_.cell);
+  const std::string id = std::to_string(config.slice_id);
+  obs::Labels labels = {{"cell", cell}, {"slice", id}};
   state.m_prb_granted = &reg.counter("waran_mac_prb_granted_total", labels);
   state.m_sched_faults = &reg.counter("waran_mac_sched_faults_total", labels);
   state.m_sanitized = &reg.counter("waran_mac_sanitized_allocs_total", labels);
   state.m_slots_scheduled = &reg.counter("waran_mac_slots_scheduled_total", labels);
   slices_.emplace(config.slice_id, std::move(state));
+  order_.clear();
+  for (auto& [_, slice] : slices_) order_.push_back(&slice);
+  demands_.resize(order_.size());
+  quotas_.resize(order_.size());
 }
 
 Status GnbMac::set_intra_scheduler(uint32_t slice_id,
@@ -52,43 +58,55 @@ void GnbMac::set_inter_scheduler(std::unique_ptr<InterSliceScheduler> scheduler)
 
 void GnbMac::set_mcs_table(McsTable table) {
   mcs_table_ = table;
-  for (auto& [rnti, ue] : ues_) ue->channel().set_mcs_table(table);
+  for (UeEntry* e : cell_ues_) e->ctx->channel().set_mcs_table(table);
 }
 
 uint32_t GnbMac::add_ue(uint32_t slice_id, Channel channel, TrafficSource traffic) {
   assert(slices_.contains(slice_id));
   channel.set_mcs_table(mcs_table_);
   uint32_t rnti = next_rnti_++;
-  ues_.emplace(rnti, std::make_unique<UeContext>(rnti, slice_id, std::move(channel),
-                                                 std::move(traffic),
-                                                 config_.pf_time_constant_slots));
+  // The 1 s rate window holds one entry per slot, plus its inclusive edge.
+  const size_t window_entries = 1'000'000 / std::max<uint32_t>(config_.slot_us, 1) + 2;
+  UeEntry& e = ues_[rnti];
+  e.rnti = rnti;
+  e.ctx = std::make_unique<UeContext>(rnti, slice_id, std::move(channel), std::move(traffic),
+                                      config_.pf_time_constant_slots, window_entries);
+  // RNTIs only grow, so appending keeps both arrays in rnti order.
+  cell_ues_.push_back(&e);
+  auto slice = slices_.find(slice_id);
+  if (slice != slices_.end()) slice->second.ues.push_back(&e);
   return rnti;
 }
 
 Status GnbMac::remove_ue(uint32_t rnti) {
-  if (ues_.erase(rnti) == 0) return Error::not_found("no such UE");
+  auto it = ues_.find(rnti);
+  if (it == ues_.end()) return Error::not_found("no such UE");
+  UeEntry* e = &it->second;
+  std::erase(cell_ues_, e);
+  auto slice = slices_.find(e->ctx->slice_id());
+  if (slice != slices_.end()) std::erase(slice->second.ues, e);
+  ues_.erase(it);
   return {};
 }
 
-codec::SchedRequest GnbMac::build_request(const SliceState& slice, uint32_t quota) const {
-  codec::SchedRequest req;
+void GnbMac::build_request(SliceState& slice, uint32_t quota) {
+  codec::SchedRequest& req = slice.req;
   req.slot = static_cast<uint32_t>(slot_);
   req.prb_quota = quota;
+  req.ues.clear();
   double slots_per_s = 1e6 / config_.slot_us;
-  for (const auto& [rnti, ue] : ues_) {
-    if (ue->slice_id() != slice.config.slice_id) continue;
-    if (ue->buffer_bytes() == 0) continue;
-    codec::UeInfo info;
-    info.rnti = rnti;
-    info.cqi = ue->channel().cqi();
-    info.mcs = ue->channel().mcs();
-    info.buffer_bytes = ue->buffer_bytes();
-    info.tbs_per_prb = transport_block_bits(info.mcs, 1, mcs_table_);
-    info.avg_tput_bps = ue->avg_tput_bps();
+  for (const UeEntry* e : slice.ues) {
+    const UeContext& ue = *e->ctx;
+    if (ue.buffer_bytes() == 0) continue;
+    codec::UeInfo& info = req.ues.emplace_back();
+    info.rnti = e->rnti;
+    info.cqi = ue.channel().cqi();
+    info.mcs = ue.channel().mcs();
+    info.buffer_bytes = ue.buffer_bytes();
+    info.tbs_per_prb = e->tbs_per_prb;
+    info.avg_tput_bps = ue.avg_tput_bps();
     info.achievable_bps = transport_block_bits(info.mcs, quota, mcs_table_) * slots_per_s;
-    req.ues.push_back(info);
   }
-  return req;
 }
 
 codec::SchedResponse GnbMac::fallback_round_robin(const codec::SchedRequest& req) {
@@ -107,17 +125,17 @@ codec::SchedResponse GnbMac::fallback_round_robin(const codec::SchedRequest& req
   return resp;
 }
 
-void GnbMac::apply_response(SliceState& slice, const codec::SchedRequest& req,
-                            const codec::SchedResponse& resp,
-                            std::map<uint32_t, SlotDelivery>& delivered) {
-  uint32_t remaining = req.prb_quota;
+void GnbMac::apply_response(SliceState& slice, const codec::SchedResponse& resp) {
+  uint32_t remaining = slice.req.prb_quota;
   uint64_t sanitized_here = 0;
   for (const codec::SchedAlloc& alloc : resp.allocs) {
     if (remaining == 0) break;
     if (alloc.prbs == 0) continue;
-    auto it = ues_.find(alloc.rnti);
-    if (it == ues_.end() || it->second->slice_id() != slice.config.slice_id ||
-        (it->second->buffer_bytes() == 0 && !it->second->harq_pending())) {
+    auto it = std::lower_bound(
+        slice.ues.begin(), slice.ues.end(), alloc.rnti,
+        [](const UeEntry* e, uint32_t rnti) { return e->rnti < rnti; });
+    if (it == slice.ues.end() || (*it)->rnti != alloc.rnti ||
+        ((*it)->ctx->buffer_bytes() == 0 && !(*it)->ctx->harq_pending())) {
       // Plugin referenced a UE it does not own / that asked for nothing:
       // sanitize by dropping the grant (§6A).
       ++sanitized_here;
@@ -130,7 +148,8 @@ void GnbMac::apply_response(SliceState& slice, const codec::SchedRequest& req,
       prbs = remaining;
     }
     remaining -= prbs;
-    UeContext& ue = *it->second;
+    UeEntry& entry = **it;
+    UeContext& ue = *entry.ctx;
 
     if (config_.channel_errors && ue.harq_pending()) {
       // The grant retransmits the pending TB. Chase combining: every
@@ -145,7 +164,7 @@ void GnbMac::apply_response(SliceState& slice, const codec::SchedRequest& req,
           ++slice.stats.tb_drops;
         }
       } else {
-        delivered[alloc.rnti].harq_bits += ue.harq_finish();
+        entry.harq_bits += ue.harq_finish();
       }
       continue;
     }
@@ -163,7 +182,7 @@ void GnbMac::apply_response(SliceState& slice, const codec::SchedRequest& req,
         ++slice.stats.tb_drops;
       }
     } else {
-      delivered[alloc.rnti].fresh_bits += deliverable;
+      entry.fresh_bits += deliverable;
     }
   }
   slice.stats.sanitized_allocs += sanitized_here;
@@ -177,7 +196,7 @@ void GnbMac::apply_response(SliceState& slice, const codec::SchedRequest& req,
         "slice " + std::to_string(slice.config.slice_id),
         std::to_string(sanitized_here) + " grant(s) dropped or clamped");
   }
-  slice.m_prb_granted->add(req.prb_quota - remaining);
+  slice.m_prb_granted->add(slice.req.prb_quota - remaining);
 }
 
 Status GnbMac::run_slot() {
@@ -189,48 +208,44 @@ Status GnbMac::run_slot() {
                          static_cast<uint32_t>(slot_));
   const uint64_t slot_t0 = obs::now_ns();
 
-  // Phase 1: arrivals + channel.
-  for (auto& [rnti, ue] : ues_) ue->begin_slot(config_.slot_us);
+  // Phase 1: arrivals + channel. Each UE's one-PRB TBS is computed once
+  // here for the demand and request phases.
+  for (UeEntry* e : cell_ues_) {
+    e->ctx->begin_slot(config_.slot_us);
+    e->tbs_per_prb = transport_block_bits(e->ctx->channel().mcs(), 1, mcs_table_);
+  }
 
   // Phase 2: inter-slice quotas.
-  std::vector<SliceDemand> demands;
-  std::vector<SliceState*> order;
-  demands.reserve(slices_.size());
   double now = now_s();
-  for (auto& [id, slice] : slices_) {
+  for (size_t i = 0; i < order_.size(); ++i) {
+    const SliceState& slice = *order_[i];
     SliceDemand d;
     d.config = &slice.config;
     double tbs_sum = 0;
-    for (const auto& [rnti, ue] : ues_) {
-      if (ue->slice_id() != id) continue;
-      d.backlog_bytes += ue->buffer_bytes();
-      d.current_rate_bps += ue->rate_bps(now);
-      if (ue->buffer_bytes() > 0) {
+    for (const UeEntry* e : slice.ues) {
+      const UeContext& ue = *e->ctx;
+      d.backlog_bytes += ue.buffer_bytes();
+      d.current_rate_bps += ue.rate_bps(now);
+      if (ue.buffer_bytes() > 0) {
         ++d.active_ues;
-        tbs_sum += transport_block_bits(ue->channel().mcs(), 1, mcs_table_);
+        tbs_sum += e->tbs_per_prb;
       }
     }
     if (d.active_ues > 0) d.est_bits_per_prb = tbs_sum / d.active_ues;
-    demands.push_back(d);
-    order.push_back(&slice);
+    demands_[i] = d;
   }
-  std::vector<uint32_t> quotas;
   {
     obs::ObsSpan inter_span(obs::TraceCat::kMac, "inter_slice");
-    quotas = inter_->allocate(config_.n_prbs, demands);
-  }
-  if (quotas.size() != order.size()) {
-    return Error::internal("inter-slice scheduler returned wrong quota count");
+    inter_->allocate(config_.n_prbs, demands_, quotas_);
   }
 
-  // Phases 3+4 per slice.
-  std::map<uint32_t, SlotDelivery> delivered;
-  for (size_t i = 0; i < order.size(); ++i) {
-    SliceState& slice = *order[i];
-    slice.stats.last_quota = quotas[i];
-    if (quotas[i] == 0 || demands[i].active_ues == 0) continue;
-    codec::SchedRequest req = build_request(slice, quotas[i]);
-    if (req.ues.empty()) continue;
+  // Phases 3+4 per slice. A slice with active UEs always yields a
+  // non-empty request: its UEs' buffers only change in its own apply.
+  for (size_t i = 0; i < order_.size(); ++i) {
+    SliceState& slice = *order_[i];
+    slice.stats.last_quota = quotas_[i];
+    if (quotas_[i] == 0 || demands_[i].active_ues == 0) continue;
+    build_request(slice, quotas_[i]);
     ++slice.stats.slots_scheduled;
     slice.m_slots_scheduled->add();
 
@@ -238,10 +253,9 @@ Status GnbMac::run_slot() {
         obs::TraceCat::kSlice,
         slice.config.name.empty() ? std::string_view("slice") : slice.config.name,
         slice.config.slice_id);
-    codec::SchedResponse resp;
-    auto result = slice.scheduler->schedule(req);
+    auto result = slice.scheduler->schedule(slice.req);
     if (result.ok()) {
-      resp = std::move(*result);
+      apply_response(slice, *result);
     } else {
       // Contained fault: host-side default scheduler takes this slot (§6A).
       ++slice.stats.scheduler_faults;
@@ -250,22 +264,17 @@ Status GnbMac::run_slot() {
       WARAN_LOG(kDebug, "mac",
                 "slice " << slice.config.slice_id
                          << " scheduler fault: " << result.error().message);
-      resp = fallback_round_robin(req);
+      apply_response(slice, fallback_round_robin(slice.req));
     }
-    apply_response(slice, req, resp, delivered);
   }
 
   // Deliver (every UE ticks its EWMA, scheduled or not).
   double slots_per_s = 1e6 / config_.slot_us;
   double deliver_time = now_s();
-  for (auto& [rnti, ue] : ues_) {
-    auto it = delivered.find(rnti);
-    if (it == delivered.end()) {
-      ue->complete_slot(0, 0, deliver_time, slots_per_s);
-    } else {
-      ue->complete_slot(it->second.fresh_bits, it->second.harq_bits, deliver_time,
-                        slots_per_s);
-    }
+  for (UeEntry* e : cell_ues_) {
+    e->ctx->complete_slot(e->fresh_bits, e->harq_bits, deliver_time, slots_per_s);
+    e->fresh_bits = 0;
+    e->harq_bits = 0;
   }
 
   // Slot-deadline accounting: in a real-time deployment the slot budget is
@@ -299,27 +308,27 @@ Status GnbMac::run_slots(uint32_t n) {
 
 const UeContext* GnbMac::ue(uint32_t rnti) const {
   auto it = ues_.find(rnti);
-  return it == ues_.end() ? nullptr : it->second.get();
+  return it == ues_.end() ? nullptr : it->second.ctx.get();
 }
 
 UeContext* GnbMac::ue(uint32_t rnti) {
   auto it = ues_.find(rnti);
-  return it == ues_.end() ? nullptr : it->second.get();
+  return it == ues_.end() ? nullptr : it->second.ctx.get();
 }
 
 std::vector<uint32_t> GnbMac::ue_rntis() const {
   std::vector<uint32_t> rntis;
-  rntis.reserve(ues_.size());
-  for (const auto& [rnti, _] : ues_) rntis.push_back(rnti);
+  rntis.reserve(cell_ues_.size());
+  for (const UeEntry* e : cell_ues_) rntis.push_back(e->rnti);
   return rntis;
 }
 
 double GnbMac::slice_rate_bps(uint32_t slice_id) const {
+  auto it = slices_.find(slice_id);
+  if (it == slices_.end()) return 0.0;
   double sum = 0;
   double now = now_s();
-  for (const auto& [rnti, ue] : ues_) {
-    if (ue->slice_id() == slice_id) sum += ue->rate_bps(now);
-  }
+  for (const UeEntry* e : it->second.ues) sum += e->ctx->rate_bps(now);
   return sum;
 }
 

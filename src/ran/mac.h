@@ -130,10 +130,23 @@ class GnbMac {
   }
 
  private:
+  /// One attached UE. Owned by ues_ (rnti lookup; map nodes never move),
+  /// referenced from the cell-wide and per-slice arrays the slot walks.
+  struct UeEntry {
+    std::unique_ptr<UeContext> ctx;
+    uint32_t rnti = 0;
+    uint32_t tbs_per_prb = 0;  // transport_block_bits(mcs, 1) for this slot
+    // This slot's deliveries, consumed (and zeroed) at slot completion.
+    uint32_t fresh_bits = 0;   // first transmissions (drain the RLC buffer)
+    uint32_t harq_bits = 0;    // HARQ recoveries (buffer already drained)
+  };
+
   struct SliceState {
     SliceConfig config;
     std::unique_ptr<IntraSliceScheduler> scheduler;
     SliceStats stats;
+    std::vector<UeEntry*> ues;  // members, in rnti order
+    codec::SchedRequest req;    // rebuilt in place every slot
     // Registry handles, bound at add_slice (label: slice id).
     obs::Counter* m_prb_granted = nullptr;
     obs::Counter* m_sched_faults = nullptr;
@@ -141,16 +154,10 @@ class GnbMac {
     obs::Counter* m_slots_scheduled = nullptr;
   };
 
-  codec::SchedRequest build_request(const SliceState& slice, uint32_t quota) const;
+  void build_request(SliceState& slice, uint32_t quota);
   /// Host-side round-robin used when a slice's scheduler faults (§6A).
   static codec::SchedResponse fallback_round_robin(const codec::SchedRequest& req);
-  struct SlotDelivery {
-    uint32_t fresh_bits = 0;  // first transmissions (drain the RLC buffer)
-    uint32_t harq_bits = 0;   // HARQ recoveries (buffer already drained)
-  };
-  void apply_response(SliceState& slice, const codec::SchedRequest& req,
-                      const codec::SchedResponse& resp,
-                      std::map<uint32_t, SlotDelivery>& delivered);
+  void apply_response(SliceState& slice, const codec::SchedResponse& resp);
 
   MacConfig config_;
   uint64_t slot_ = 0;
@@ -166,7 +173,13 @@ class GnbMac {
   obs::Histogram* m_cell_slot_wall_ns_ = nullptr;
   uint32_t next_rnti_ = 0x4601;  // srsRAN's first C-RNTI
   std::map<uint32_t, SliceState> slices_;
-  std::map<uint32_t, std::unique_ptr<UeContext>> ues_;
+  std::map<uint32_t, UeEntry> ues_;
+  std::vector<UeEntry*> cell_ues_;  // every UE, in rnti order
+  // Per-slot inter-slice inputs and outputs, one entry per slice in id
+  // order; sized at add_slice and reused every slot.
+  std::vector<SliceState*> order_;
+  std::vector<SliceDemand> demands_;
+  std::vector<uint32_t> quotas_;
   std::unique_ptr<InterSliceScheduler> inter_;
   McsTable mcs_table_ = McsTable::kQam64;
   Xoshiro256 error_rng_{0x5eed};

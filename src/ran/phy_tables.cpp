@@ -1,6 +1,7 @@
 #include "ran/phy_tables.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace waran::ran {
@@ -61,7 +62,9 @@ uint32_t mcs_modulation_order(uint32_t mcs, McsTable table) {
   return mcs_row(mcs, table).qm;
 }
 
-uint32_t mcs_from_cqi(uint32_t cqi, McsTable table) {
+namespace {
+
+uint32_t scan_mcs_for_cqi(uint32_t cqi, McsTable table) {
   double target = cqi_spectral_efficiency(cqi, table);
   if (target <= 0.0) return 0;
   // Most efficient MCS not exceeding the CQI's efficiency. The MCS tables
@@ -77,6 +80,21 @@ uint32_t mcs_from_cqi(uint32_t cqi, McsTable table) {
     }
   }
   return best;
+}
+
+}  // namespace
+
+uint32_t mcs_from_cqi(uint32_t cqi, McsTable table) {
+  // Link adaptation runs per UE per slot: scan once per (table, CQI).
+  static const auto kTable = [] {
+    std::array<std::array<uint8_t, kMaxCqi + 1>, 2> t{};
+    for (uint32_t c = 0; c <= kMaxCqi; ++c) {
+      t[0][c] = static_cast<uint8_t>(scan_mcs_for_cqi(c, McsTable::kQam64));
+      t[1][c] = static_cast<uint8_t>(scan_mcs_for_cqi(c, McsTable::kQam256));
+    }
+    return t;
+  }();
+  return kTable[static_cast<uint8_t>(table)][std::min(cqi, kMaxCqi)];
 }
 
 uint32_t cqi_from_mcs(uint32_t mcs, McsTable table) {

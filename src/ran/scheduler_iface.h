@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "codec/messages.h"
 #include "common/result.h"
@@ -40,9 +40,11 @@ class InterSliceScheduler {
  public:
   virtual ~InterSliceScheduler() = default;
 
-  /// Returns PRB quotas, one per entry of `demands`, summing to <= n_prbs.
-  virtual std::vector<uint32_t> allocate(uint32_t n_prbs,
-                                         const std::vector<SliceDemand>& demands) = 0;
+  /// Writes one PRB quota per entry of `demands` into `quotas` (same
+  /// length, owned by the caller and reused every slot), summing to
+  /// <= n_prbs. Every entry is overwritten.
+  virtual void allocate(uint32_t n_prbs, std::span<const SliceDemand> demands,
+                        std::span<uint32_t> quotas) = 0;
 
   virtual const char* name() const = 0;
 };

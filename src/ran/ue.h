@@ -3,6 +3,7 @@
 // the evaluation plots, EWMA long-term rate for proportional-fair).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/stats.h"
@@ -13,13 +14,15 @@ namespace waran::ran {
 
 class UeContext {
  public:
+  /// `rate_window_entries` sizes the 1 s rate window's ring (one entry per
+  /// slot); 0 lets it grow on demand.
   UeContext(uint32_t rnti, uint32_t slice_id, Channel channel, TrafficSource traffic,
-            double pf_time_constant_slots = 100.0)
+            double pf_time_constant_slots = 100.0, size_t rate_window_entries = 0)
       : rnti_(rnti),
         slice_id_(slice_id),
         channel_(std::move(channel)),
         traffic_(std::move(traffic)),
-        rate_meter_(1.0),
+        rate_meter_(1.0, rate_window_entries),
         pf_tc_(pf_time_constant_slots) {}
 
   uint32_t rnti() const { return rnti_; }

@@ -166,14 +166,15 @@ double DrrScheduler::deficit(uint32_t rnti) const {
   return 0.0;
 }
 
-std::vector<uint32_t> WeightedShareInterScheduler::allocate(
-    uint32_t n_prbs, const std::vector<ran::SliceDemand>& demands) {
-  std::vector<uint32_t> quotas(demands.size(), 0);
+void WeightedShareInterScheduler::allocate(uint32_t n_prbs,
+                                           std::span<const ran::SliceDemand> demands,
+                                           std::span<uint32_t> quotas) {
+  std::fill(quotas.begin(), quotas.end(), 0u);
   double weight_sum = 0;
   for (const ran::SliceDemand& d : demands) {
     if (d.active_ues > 0) weight_sum += d.config->weight;
   }
-  if (weight_sum <= 0) return quotas;
+  if (weight_sum <= 0) return;
   uint32_t assigned = 0;
   for (size_t i = 0; i < demands.size(); ++i) {
     if (demands[i].active_ues == 0) continue;
@@ -186,12 +187,12 @@ std::vector<uint32_t> WeightedShareInterScheduler::allocate(
     ++quotas[i];
     ++assigned;
   }
-  return quotas;
 }
 
-std::vector<uint32_t> TargetRateInterScheduler::allocate(
-    uint32_t n_prbs, const std::vector<ran::SliceDemand>& demands) {
-  std::vector<double> needed(demands.size(), 0.0);
+void TargetRateInterScheduler::allocate(uint32_t n_prbs,
+                                        std::span<const ran::SliceDemand> demands,
+                                        std::span<uint32_t> quotas) {
+  needed_.assign(demands.size(), 0.0);
   double total_needed = 0;
   for (size_t i = 0; i < demands.size(); ++i) {
     const ran::SliceDemand& d = demands[i];
@@ -211,39 +212,47 @@ std::vector<uint32_t> TargetRateInterScheduler::allocate(
                                     static_cast<double>(n_prbs));
 
     double base = d.config->target_rate_bps / (d.est_bits_per_prb * slots_per_s_);
-    needed[i] = std::clamp(base + st.correction_prbs, 0.0, 16.0 * n_prbs);
-    total_needed += needed[i];
+    needed_[i] = std::clamp(base + st.correction_prbs, 0.0, 16.0 * n_prbs);
+    total_needed += needed_[i];
   }
   // Oversubscribed: scale every need down proportionally.
   double scale = total_needed > n_prbs ? n_prbs / total_needed : 1.0;
 
-  std::vector<uint32_t> quotas(demands.size(), 0);
+  std::fill(quotas.begin(), quotas.end(), 0u);
   uint32_t assigned = 0;
   for (size_t i = 0; i < demands.size(); ++i) {
-    if (needed[i] <= 0) continue;
+    if (needed_[i] <= 0) continue;
     // Fractional provisioning: carry the remainder across slots so the
     // long-run average equals the (scaled) need exactly.
     SliceState& st = state_[demands[i].config->slice_id];
-    st.credit += needed[i] * scale;
+    st.credit += needed_[i] * scale;
     uint32_t q = static_cast<uint32_t>(st.credit);
     q = std::min(q, n_prbs - assigned);
     st.credit -= q;
     quotas[i] = q;
     assigned += q;
   }
-  return quotas;
 }
 
-std::vector<uint32_t> PriorityInterScheduler::allocate(
-    uint32_t n_prbs, const std::vector<ran::SliceDemand>& demands) {
-  std::vector<uint32_t> quotas(demands.size(), 0);
-  std::vector<size_t> order(demands.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return demands[a].config->weight > demands[b].config->weight;
-  });
+void PriorityInterScheduler::allocate(uint32_t n_prbs,
+                                      std::span<const ran::SliceDemand> demands,
+                                      std::span<uint32_t> quotas) {
+  std::fill(quotas.begin(), quotas.end(), 0u);
+  order_.resize(demands.size());
+  std::iota(order_.begin(), order_.end(), 0);
+  // Insertion sort: stable like std::stable_sort, without its temporary
+  // buffer (a handful of slices per cell).
+  for (size_t i = 1; i < order_.size(); ++i) {
+    const size_t key = order_[i];
+    size_t j = i;
+    for (; j > 0 && demands[key].config->weight > demands[order_[j - 1]].config->weight;
+         --j) {
+      order_[j] = order_[j - 1];
+    }
+    order_[j] = key;
+  }
   uint32_t remaining = n_prbs;
-  for (size_t i : order) {
+  for (size_t i : order_) {
     if (remaining == 0) break;
     const ran::SliceDemand& d = demands[i];
     if (d.active_ues == 0 || d.est_bits_per_prb <= 0) continue;
@@ -253,7 +262,6 @@ std::vector<uint32_t> PriorityInterScheduler::allocate(
     quotas[i] = std::min(remaining, want);
     remaining -= quotas[i];
   }
-  return quotas;
 }
 
 std::unique_ptr<ran::IntraSliceScheduler> make_native_scheduler(const std::string& name) {

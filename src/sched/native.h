@@ -13,6 +13,8 @@
 
 #include <map>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "ran/scheduler_iface.h"
 
@@ -71,8 +73,8 @@ class DrrScheduler final : public ran::IntraSliceScheduler {
 /// idle slices are redistributed.
 class WeightedShareInterScheduler final : public ran::InterSliceScheduler {
  public:
-  std::vector<uint32_t> allocate(uint32_t n_prbs,
-                                 const std::vector<ran::SliceDemand>& demands) override;
+  void allocate(uint32_t n_prbs, std::span<const ran::SliceDemand> demands,
+                std::span<uint32_t> quotas) override;
   const char* name() const override { return "weighted-share"; }
 };
 
@@ -93,8 +95,8 @@ class TargetRateInterScheduler final : public ran::InterSliceScheduler {
   explicit TargetRateInterScheduler(double slots_per_second = 1000.0,
                                     double feedback_gain = 0.002)
       : slots_per_s_(slots_per_second), gain_(feedback_gain) {}
-  std::vector<uint32_t> allocate(uint32_t n_prbs,
-                                 const std::vector<ran::SliceDemand>& demands) override;
+  void allocate(uint32_t n_prbs, std::span<const ran::SliceDemand> demands,
+                std::span<uint32_t> quotas) override;
   const char* name() const override { return "target-rate"; }
 
  private:
@@ -105,15 +107,19 @@ class TargetRateInterScheduler final : public ran::InterSliceScheduler {
   double slots_per_s_;
   double gain_;  // PRBs of correction per slot of 5%+ error
   std::map<uint32_t, SliceState> state_;
+  std::vector<double> needed_;  // per-call scratch, reused across slots
 };
 
 /// Strict priority by slice weight (higher weight first); each slice takes
 /// what its backlog needs before lower priorities see anything.
 class PriorityInterScheduler final : public ran::InterSliceScheduler {
  public:
-  std::vector<uint32_t> allocate(uint32_t n_prbs,
-                                 const std::vector<ran::SliceDemand>& demands) override;
+  void allocate(uint32_t n_prbs, std::span<const ran::SliceDemand> demands,
+                std::span<uint32_t> quotas) override;
   const char* name() const override { return "priority"; }
+
+ private:
+  std::vector<size_t> order_;  // per-call scratch, reused across slots
 };
 
 /// Factory for the intra-slice baselines by name ("rr", "pf", "mt", "drr").

@@ -2,9 +2,13 @@
 // reject malformed payloads, and (TLV/PbLite) skip unknown fields.
 #include <gtest/gtest.h>
 
+#include "tests/heap_probe_guard.h"
+
 #include "codec/codec.h"
 #include "codec/json.h"
 #include "codec/wire.h"
+#include "common/bytes.h"
+#include "common/tracked_alloc.h"
 
 namespace waran::codec {
 namespace {
@@ -94,6 +98,71 @@ TEST(WireCodec, CountOverrunFailsEarly) {
   std::vector<uint8_t> bytes = {0, 0, 0, 0, 10, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f};
   auto codec = make_codec(CodecKind::kWire);
   EXPECT_FALSE(codec->decode_request(bytes).ok());
+}
+
+/// The field-by-field ByteWriter encoding the wire format was first
+/// written with: the byte-for-byte reference for the sized encoder.
+std::vector<uint8_t> reference_wire_request(const SchedRequest& req) {
+  ByteWriter w;
+  w.u32le(req.slot);
+  w.u32le(req.prb_quota);
+  w.u32le(static_cast<uint32_t>(req.ues.size()));
+  for (const UeInfo& ue : req.ues) {
+    w.u32le(ue.rnti);
+    w.u32le(ue.cqi);
+    w.u32le(ue.mcs);
+    w.u32le(ue.buffer_bytes);
+    w.u32le(ue.tbs_per_prb);
+    w.u32le(0);
+    w.f64le(ue.avg_tput_bps);
+    w.f64le(ue.achievable_bps);
+  }
+  return w.take();
+}
+
+/// Encodes with the heap probe armed; exactly one allocation (the result).
+std::vector<uint8_t> encode_counting_allocs(const SchedRequest& req, uint64_t* allocs) {
+  const uint64_t before = heap_probe::allocations();
+  std::vector<uint8_t> bytes = wire::encode_request(req);
+  *allocs = heap_probe::allocations() - before;
+  return bytes;
+}
+
+TEST(WireCodec, EncodeRequestGoldenBytesAndOneAllocation) {
+  uint64_t allocs = 0;
+
+  SchedRequest empty;
+  empty.slot = 0x01020304;
+  empty.prb_quota = 52;
+  const std::vector<uint8_t> empty_golden = {0x04, 0x03, 0x02, 0x01, 0x34, 0x00,
+                                             0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  EXPECT_EQ(encode_counting_allocs(empty, &allocs), empty_golden);
+  EXPECT_EQ(allocs, 1u);
+
+  SchedRequest one;
+  one.slot = 1234;
+  one.prb_quota = 27;
+  one.ues.push_back({0x4601, 12, 22, 15000, 700, 1.5e6, 12.5e6});
+  const std::vector<uint8_t> one_golden = {
+      0xd2, 0x04, 0x00, 0x00, 0x1b, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  // header
+      0x01, 0x46, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00,  // rnti cqi mcs
+      0x98, 0x3a, 0x00, 0x00, 0xbc, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // buf tbs pad
+      0x00, 0x00, 0x00, 0x00, 0x60, 0xe3, 0x36, 0x41,                          // avg 1.5e6
+      0x00, 0x00, 0x00, 0x00, 0x84, 0xd7, 0x67, 0x41};                         // ach 12.5e6
+  EXPECT_EQ(encode_counting_allocs(one, &allocs), one_golden);
+  EXPECT_EQ(allocs, 1u);
+
+  SchedRequest many;
+  many.slot = 77;
+  many.prb_quota = 52;
+  for (uint32_t i = 0; i < 32; ++i) {
+    many.ues.push_back({0x4601 + i, i % 16, (i * 7) % 29, 1000u * i + 3, 100 + 25 * i,
+                        1e5 * i + 0.25, 3.3e6 * (i + 1)});
+  }
+  const std::vector<uint8_t> many_bytes = encode_counting_allocs(many, &allocs);
+  EXPECT_EQ(allocs, 1u);
+  ASSERT_EQ(many_bytes.size(), wire::kReqHeaderSize + 32 * wire::kUeRecordSize);
+  EXPECT_EQ(many_bytes, reference_wire_request(many));
 }
 
 TEST(TlvCodec, SkipsUnknownFields) {

@@ -1,9 +1,12 @@
 // Tests for the common substrate: byte IO, LEB128, stats, tracked heap, RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -223,6 +226,98 @@ TEST(RateMeter, StaleQueryAnchorsToNewestEntry) {
   // Querying at a time before the newest arrival anchors the window to the
   // newest entry: the t=0 sample already expired, only the t=2 one counts.
   EXPECT_DOUBLE_EQ(m.rate_bps(0.5), 500.0);
+}
+
+/// The deque-backed meter the ring replaced, kept as the reference
+/// semantics: clamp regressed adds forward, evict entries older than
+/// t - window, anchor stale queries to the newest entry.
+class DequeRateMeter {
+ public:
+  explicit DequeRateMeter(double window_s) : window_s_(window_s) {}
+  void add(double t, uint64_t bits) {
+    if (!entries_.empty() && t < entries_.back().first) t = entries_.back().first;
+    entries_.emplace_back(t, bits);
+    window_bits_ += bits;
+    evict(t);
+  }
+  double rate_bps(double t) {
+    if (entries_.empty()) return 0.0;
+    if (t < entries_.back().first) t = entries_.back().first;
+    evict(t);
+    if (window_s_ <= 0) return 0.0;
+    return static_cast<double>(window_bits_) / window_s_;
+  }
+  size_t size() const { return entries_.size(); }
+
+ private:
+  void evict(double t) {
+    while (!entries_.empty() && entries_.front().first < t - window_s_) {
+      window_bits_ -= entries_.front().second;
+      entries_.pop_front();
+    }
+  }
+  double window_s_;
+  std::deque<std::pair<double, uint64_t>> entries_;
+  uint64_t window_bits_ = 0;
+};
+
+TEST(RateMeter, RingMatchesDequeReference) {
+  // Windows from a few entries (the ring wraps thousands of times) to ~200
+  // entries (it must grow from its 16-entry minimum), with and without an
+  // up-front capacity, over random steps, regressed adds and stale queries.
+  for (double window : {0.0, 0.02, 0.3, 1.0}) {
+    for (size_t capacity : {size_t{0}, size_t{5}, size_t{300}}) {
+      Xoshiro256 rng(static_cast<uint64_t>(window * 1000) * 31 + capacity);
+      RateMeter ring(window, capacity);
+      DequeRateMeter ref(window);
+      uint64_t total = 0;
+      double t = 0.0;
+      size_t max_size = 0;
+      for (int i = 0; i < 20000; ++i) {
+        const double r = rng.uniform();
+        if (r < 0.1) {
+          // Regressed timestamp: clamped forward by both.
+          const double back = t - rng.uniform() * 0.05;
+          const uint64_t bits = rng.next() % 5000;
+          ring.add(back, bits);
+          ref.add(back, bits);
+          total += bits;
+        } else if (r < 0.7) {
+          t += rng.uniform() * 0.01;
+          const uint64_t bits = rng.next() % 5000;
+          ring.add(t, bits);
+          ref.add(t, bits);
+          total += bits;
+        } else {
+          // Query, sometimes stale (before the newest entry), sometimes
+          // far enough ahead to empty the window.
+          const double q = t + (rng.uniform() - 0.6) * (r < 0.98 ? 0.2 : 3.0);
+          ASSERT_EQ(ring.rate_bps(q), ref.rate_bps(q)) << "step " << i;
+        }
+        ASSERT_EQ(ring.size(), ref.size()) << "step " << i;
+        max_size = std::max(max_size, ring.size());
+      }
+      EXPECT_EQ(ring.total_bits(), total);
+      EXPECT_GE(ring.capacity(), max_size);
+      if (window >= 1.0 && capacity < 100) {
+        EXPECT_GT(ring.capacity(), 16u);  // the ring had to grow, keeping order
+      }
+    }
+  }
+}
+
+TEST(RateMeter, PresizedRingNeverGrows) {
+  // One entry per 1 ms slot over a 1 s window: 1001 entries at most.
+  RateMeter m(1.0, 1002);
+  EXPECT_EQ(m.capacity(), 0u);  // allocated by the first add
+  m.add(0.0, 100);
+  const size_t cap = m.capacity();
+  EXPECT_GE(cap, 1002u);
+  for (uint64_t slot = 1; slot < 5000; ++slot) {
+    m.add(static_cast<double>(slot) * 1000 * 1e-6, 100);
+    EXPECT_LE(m.size(), 1001u);
+  }
+  EXPECT_EQ(m.capacity(), cap);
 }
 
 TEST(Log, PerComponentOverrides) {

@@ -2,7 +2,9 @@
 // accounting and the MAC slot loop's structural invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "ran/channel.h"
 #include "ran/mac.h"
@@ -35,6 +37,27 @@ TEST(PhyTables, McsFromCqiNeverExceedsCqiEfficiency) {
   EXPECT_EQ(mcs_from_cqi(1), 0u);
   // Best CQI maps to (near-)top MCS.
   EXPECT_GE(mcs_from_cqi(kMaxCqi), 27u);
+}
+
+TEST(PhyTables, McsFromCqiTableMatchesEfficiencyScan) {
+  // mcs_from_cqi is a precomputed table; it must agree with the
+  // link-adaptation rule it encodes (most efficient MCS not above the
+  // CQI's efficiency) for every CQI, in both tables, clamps included.
+  for (McsTable table : {McsTable::kQam64, McsTable::kQam256}) {
+    for (uint32_t c = 0; c <= kMaxCqi + 2; ++c) {
+      const double target = cqi_spectral_efficiency(c, table);
+      uint32_t best = 0;
+      double best_se = 0.0;
+      for (uint32_t m = 0; target > 0.0 && m <= max_mcs(table); ++m) {
+        const double se = mcs_spectral_efficiency(m, table);
+        if (se <= target + 1e-9 && se > best_se) {
+          best = m;
+          best_se = se;
+        }
+      }
+      EXPECT_EQ(mcs_from_cqi(c, table), best) << "table " << int(table) << " cqi " << c;
+    }
+  }
 }
 
 TEST(PhyTables, CqiMcsInversesAreConsistent) {
@@ -257,9 +280,9 @@ TEST(Mac256, TableSwitchRaisesGoodSnrThroughput) {
   // A trivially-serving inter-slice scheduler.
   class AllInter final : public InterSliceScheduler {
    public:
-    std::vector<uint32_t> allocate(uint32_t n_prbs,
-                                   const std::vector<SliceDemand>& d) override {
-      return std::vector<uint32_t>(d.size(), n_prbs);
+    void allocate(uint32_t n_prbs, std::span<const SliceDemand>,
+                  std::span<uint32_t> quotas) override {
+      std::fill(quotas.begin(), quotas.end(), n_prbs);
     }
     const char* name() const override { return "all"; }
   };

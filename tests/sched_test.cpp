@@ -236,6 +236,15 @@ ran::SliceConfig slice_cfg(uint32_t id, double target_bps, double weight) {
   return cfg;
 }
 
+/// One allocation into a fresh quota array. It starts poisoned: every
+/// entry must be overwritten, since the MAC reuses one array across slots.
+std::vector<uint32_t> quotas(ran::InterSliceScheduler& s, uint32_t n_prbs,
+                             const std::vector<ran::SliceDemand>& demands) {
+  std::vector<uint32_t> q(demands.size(), 0xdeadbeef);
+  s.allocate(n_prbs, demands, q);
+  return q;
+}
+
 TEST(WeightedShare, SplitsByWeightAmongActive) {
   WeightedShareInterScheduler ws;
   auto c1 = slice_cfg(1, 0, 1.0);
@@ -243,7 +252,7 @@ TEST(WeightedShare, SplitsByWeightAmongActive) {
   std::vector<ran::SliceDemand> demands(2);
   demands[0] = {&c1, 10000, 0, 2, 700.0};
   demands[1] = {&c2, 10000, 0, 2, 700.0};
-  auto q = ws.allocate(52, demands);
+  auto q = quotas(ws, 52, demands);
   ASSERT_EQ(q.size(), 2u);
   EXPECT_EQ(q[0] + q[1], 52u);
   EXPECT_EQ(q[0], 13u);
@@ -257,7 +266,7 @@ TEST(WeightedShare, IdleSliceGetsNothing) {
   std::vector<ran::SliceDemand> demands(2);
   demands[0] = {&c1, 10000, 0, 1, 700.0};
   demands[1] = {&c2, 0, 0, 0, 0.0};
-  auto q = ws.allocate(52, demands);
+  auto q = quotas(ws, 52, demands);
   EXPECT_EQ(q[0], 52u);
   EXPECT_EQ(q[1], 0u);
 }
@@ -275,7 +284,7 @@ TEST(TargetRate, ProvisionsJustEnoughOnAverage) {
   double sum0 = 0, sum1 = 0;
   const int kSlots = 1000;
   for (int s = 0; s < kSlots; ++s) {
-    auto q = tr.allocate(52, demands);
+    auto q = quotas(tr, 52, demands);
     EXPECT_LE(q[0] + q[1], 52u);
     sum0 += q[0];
     sum1 += q[1];
@@ -294,7 +303,7 @@ TEST(TargetRate, FeedbackTrimsOverdelivery) {
   demands[0] = {&c1, 1 << 20, 3.9e6, 1, bits_per_prb};
   double first_100 = 0, last_100 = 0;
   for (int s = 0; s < 1000; ++s) {
-    auto q = tr.allocate(52, demands);
+    auto q = quotas(tr, 52, demands);
     if (s < 100) first_100 += q[0];
     if (s >= 900) last_100 += q[0];
   }
@@ -311,7 +320,7 @@ TEST(TargetRate, OversubscriptionScalesProportionally) {
   demands[1] = {&c2, 1 << 20, 0, 1, bits_per_prb};
   double sum0 = 0, sum1 = 0;
   for (int s = 0; s < 1000; ++s) {
-    auto q = tr.allocate(52, demands);
+    auto q = quotas(tr, 52, demands);
     EXPECT_LE(q[0] + q[1], 52u);
     sum0 += q[0];
     sum1 += q[1];
@@ -329,7 +338,7 @@ TEST(Priority, HigherWeightDrainsFirst) {
   // Slice 2 needs everything and more.
   demands[0] = {&c1, 100000, 0, 1, bits_per_prb};
   demands[1] = {&c2, 1 << 20, 0, 1, bits_per_prb};
-  auto q = pr.allocate(52, demands);
+  auto q = quotas(pr, 52, demands);
   EXPECT_EQ(q[1], 52u);
   EXPECT_EQ(q[0], 0u);
 }
