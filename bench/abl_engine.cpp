@@ -217,68 +217,6 @@ void BM_DispatchThroughput(benchmark::State& state) {
   state.counters["warm_heap_allocs"] = static_cast<double>(warm_allocs);
 }
 
-void BM_DispatchThroughputSpecialized(benchmark::State& state) {
-  // The same workload on the tier-2 backend (wasm/specialize.h): the warm-up
-  // crosses the tier-up threshold, so the measured loop runs the specialized
-  // stream — re-fused superinstructions, collapsed branch chains, merged
-  // fuel segments with bit-identical accounting. The acceptance floor lives
-  // in bench/baseline/BENCH_interp.json; fuel_per_call / instrs_per_call
-  // counters must equal BM_DispatchThroughput's exactly.
-  wasm::InstanceOptions iopt;
-  iopt.dispatch = wasm::Dispatch::kSpecialized;
-  iopt.tier_up_threshold = 8;
-  auto inst = instantiate_w(R"(
-    export fn work(n: i32) -> i32 {
-      var acc: i32 = 0;
-      var i: i32 = 0;
-      while (i < n) {
-        if (i % 3 == 0) { acc = acc + i * 7; } else { acc = acc - i / 3; }
-        i = i + 1;
-      }
-      return acc;
-    }
-  )",
-                            {}, iopt);
-  int64_t n = state.range(0);
-  const bool metered = state.range(1) != 0;
-  wasm::CallOptions opts;
-  opts.fuel = metered ? uint64_t{1} << 40 : uint64_t{0};
-  wasm::CallStats stats;
-  std::vector<TypedValue> args = {TypedValue::i32(static_cast<int32_t>(n))};
-
-  // Warm past the threshold; tier-up (the one allocating step) happens here.
-  for (int i = 0; i < 16; ++i) {
-    if (!inst->call("work", args, opts, &stats).ok()) std::abort();
-  }
-  if (inst->tier_up_events() < 1) {
-    std::fprintf(stderr, "tier-up never happened: threshold 8, 16 warm calls\n");
-    std::abort();
-  }
-  const uint64_t allocs_before = heap_probe::allocations();
-  for (int i = 0; i < 64; ++i) {
-    if (!inst->call("work", args, opts, &stats).ok()) std::abort();
-  }
-  const uint64_t warm_allocs = heap_probe::allocations() - allocs_before;
-  if (warm_allocs != 0) {
-    std::fprintf(stderr,
-                 "zero-alloc guarantee broken after tier-up: %llu heap "
-                 "allocations across 64 warm Instance::call invocations\n",
-                 static_cast<unsigned long long>(warm_allocs));
-    std::abort();
-  }
-
-  for (auto _ : state) {
-    auto r = inst->call("work", args, opts, &stats);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(stats.instrs_retired));
-  state.counters["instrs_per_call"] = static_cast<double>(stats.instrs_retired);
-  state.counters["fuel_per_call"] = static_cast<double>(stats.fuel_used);
-  state.counters["warm_heap_allocs"] = static_cast<double>(warm_allocs);
-  state.counters["tier_up_events"] = static_cast<double>(inst->tier_up_events());
-}
-
 void BM_DecodeValidate(benchmark::State& state) {
   // Toolchain-side cost: how long from plugin bytes to a validated module
   // (the static-analysis step MNOs run before deployment, §3A).
@@ -306,10 +244,6 @@ BENCHMARK(BM_WasmToWasmCall);
 BENCHMARK(BM_HostCallRoundTrip);
 BENCHMARK(BM_CallIndirect);
 BENCHMARK(BM_DispatchThroughput)
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->ArgNames({"n", "metered"});
-BENCHMARK(BM_DispatchThroughputSpecialized)
     ->Args({100000, 0})
     ->Args({100000, 1})
     ->ArgNames({"n", "metered"});

@@ -23,16 +23,15 @@ namespace waran::bench {
 
 /// Compiles W source and instantiates it (decode -> validate -> link),
 /// aborting the bench on any failure.
-inline std::unique_ptr<wasm::Instance> instantiate_w(
-    const char* src, const wasm::Linker& linker = {},
-    const wasm::InstanceOptions& options = {}) {
+inline std::unique_ptr<wasm::Instance> instantiate_w(const char* src,
+                                                     const wasm::Linker& linker = {}) {
   auto bytes = wcc::compile(src);
   if (!bytes.ok()) std::abort();
   auto module = wasm::decode_module(*bytes);
   if (!module.ok()) std::abort();
   if (!wasm::validate_module(*module).ok()) std::abort();
   auto inst = wasm::Instance::instantiate(
-      std::make_shared<wasm::Module>(std::move(*module)), linker, options);
+      std::make_shared<wasm::Module>(std::move(*module)), linker);
   if (!inst.ok()) std::abort();
   return std::move(*inst);
 }

@@ -3,17 +3,16 @@
 // Two cooperating pieces (doc/analysis.md):
 //
 //  1. Stream verifier (verify_func / verify_module): checks any
-//     TranslatedFunc — baseline tier-1 output or a tier-2 specialized
-//     rewrite — against the structural invariants the interpreter relies
-//     on but never re-checks at run time: branch targets land on micro-op
-//     boundaries with matching operand heights, fuel-segment charges tile
-//     the stream (every straight-line run entered through exactly one
-//     charge, never zero, never two), operand-stack effects of every
-//     micro-op stay within TranslatedFunc::max_stack, call/resume points
-//     are followed by a charge, and every local/global/function/type index
-//     is in range. A stream that passes cannot make the interpreter read
-//     outside its reserved operand region, jump into the middle of a fused
-//     superinstruction, or execute a run of micro-ops uncharged.
+//     TranslatedFunc against the structural invariants the interpreter
+//     relies on but never re-checks at run time: branch targets land on
+//     micro-op boundaries with matching operand heights, fuel-segment
+//     charges tile the stream (every straight-line run entered through
+//     exactly one charge, never zero, never two), operand-stack effects of
+//     every micro-op stay within TranslatedFunc::max_stack, call/resume
+//     points are followed by a charge, and every local/global/function/type
+//     index is in range. A stream that passes cannot make the interpreter
+//     read outside its reserved operand region, jump into the middle of a
+//     fused superinstruction, or execute a run of micro-ops uncharged.
 //
 //  2. Abstract interpreter (analyze): computes per-function worst-case
 //     bounds over the verified stream — maximum operand-stack depth,
@@ -49,9 +48,9 @@ namespace waran::analysis {
 
 // --- Stream verifier -------------------------------------------------------
 
-/// Checks one translated stream (tier-1 or tier-2) against every structural
-/// invariant. `tf` must belong to `m` (its call/global/type indices are
-/// resolved against the module). Returns kValidation with a
+/// Checks one translated stream against every structural invariant. `tf`
+/// must belong to `m` (its call/global/type indices are resolved against
+/// the module). Returns kValidation with a
 /// "<invariant>: ..." message naming the first violated invariant.
 Status verify_func(const wasm::Module& m, const wasm::TranslatedFunc& tf);
 
@@ -60,12 +59,11 @@ Status verify_func(const wasm::Module& m, const wasm::TranslatedFunc& tf);
 Status verify_module(const wasm::Module& m, const wasm::TranslatedModule& tm);
 
 /// Installs verify_func as the wasm layer's stream firewall
-/// (wasm::set_stream_firewall): translate() then rejects any lowering and
-/// Instance tier-up rejects any specialized rewrite that breaks an
-/// invariant, turning a miscompile into an immediate error instead of a
-/// differential-oracle divergence. Idempotent; meant for debug/fuzz
-/// drivers, tests and waranc — the production hot path keeps the hook
-/// null.
+/// (wasm::set_stream_firewall): translate() then rejects any lowering that
+/// breaks an invariant, turning a miscompile into an immediate error
+/// instead of a differential-oracle divergence. Idempotent; meant for
+/// debug/fuzz drivers, tests and waranc — the production hot path keeps the
+/// hook null.
 void install_stream_firewall();
 
 // --- Abstract interpreter (per-function worst-case bounds) -----------------

@@ -16,11 +16,10 @@ namespace waran::analysis::internal {
 
 struct TakenEdge {
   uint32_t to = 0;      ///< target micro-op (unused when `ret`)
-  /// Total fuel charged crossing this edge (kJump2/Z2/NZ2 charge two merged
-  /// segments on one edge). Edges into the same uop may carry different
-  /// charges: the translator prices an edge by the *source* pc it jumps to,
-  /// and distinct source pcs (nested `end`s emit no uops) can collapse onto
-  /// one uop index.
+  /// Fuel charged crossing this edge. Edges into the same uop may carry
+  /// different charges: the translator prices an edge by the *source* pc it
+  /// jumps to, and distinct source pcs (nested `end`s emit no uops) can
+  /// collapse onto one uop index.
   uint64_t charge = 0;
   bool ret = false;     ///< edge pops the frame (kRetTarget)
   /// kBr/kBrIf/kBrTable carry an explicit unwind: the operand stack is cut

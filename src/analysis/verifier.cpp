@@ -47,12 +47,9 @@ constexpr bool between(UOp op, UOp lo, UOp hi) {
   return ord(op) >= ord(lo) && ord(op) <= ord(hi);
 }
 
-/// Ops that execute a WARAN_CHARGE before their own effect on the
-/// fall-through path — the only ops allowed to open a straight-line run.
-bool is_charge_leading(UOp op) {
-  return op == UOp::kSeg || op == UOp::kSegLocalGet || op == UOp::kSegLocalMove ||
-         op == UOp::kSegLCAddSetI32;
-}
+/// kSeg is the only op that charges on the fall-through path, so it alone
+/// may open a straight-line run.
+bool is_charge_leading(UOp op) { return op == UOp::kSeg; }
 
 Error inv(const char* invariant, uint32_t i, UOp op, const std::string& msg) {
   return Error::validation(std::string(invariant) + ": uop " + std::to_string(i) +
@@ -99,20 +96,16 @@ Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s)
     if (charge == 0) return inv("zero-charge", i, op, "zero fuel segment");
     return {};
   };
-  // A taken edge jumping to `target` charging `seg`; the merged tier-2 jump
-  // forms (kJump2 family) charge a second segment `extra` on the same edge.
-  auto taken = [&](uint32_t target, uint64_t seg, uint64_t extra = 0,
-                   bool has_unwind = false, uint32_t unwind_height = 0,
-                   uint16_t keep = 0) -> Status {
+  // A taken edge jumping to `target` charging `seg`.
+  auto taken = [&](uint32_t target, uint64_t seg, bool has_unwind = false,
+                   uint32_t unwind_height = 0, uint16_t keep = 0) -> Status {
     if (target == kRetTarget) {
       s->node.taken.push_back({0, 0, /*ret=*/true, false, 0, 0});
       return {};
     }
     WARAN_CHECK_OK(target_in_range(target));
     WARAN_CHECK_OK(charged(seg));
-    if (extra != 0) WARAN_CHECK_OK(charged(extra));
-    s->node.taken.push_back(
-        {target, seg + extra, false, has_unwind, unwind_height, keep});
+    s->node.taken.push_back({target, seg, false, has_unwind, unwind_height, keep});
     return {};
   };
 
@@ -129,11 +122,11 @@ Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s)
       if (u.b == kRetTarget) {
         return inv("target-range", i, op, "kBr cannot carry kRetTarget");
       }
-      return taken(u.b, u.imm.pair.y, 0, /*has_unwind=*/true, u.imm.pair.x, u.a);
+      return taken(u.b, u.imm.pair.y, /*has_unwind=*/true, u.imm.pair.x, u.a);
     case UOp::kBrIf:
       s->pops = 1;
       s->node.falls_through = true;
-      return taken(u.b, u.imm.pair.y, 0, /*has_unwind=*/true, u.imm.pair.x, u.a);
+      return taken(u.b, u.imm.pair.y, /*has_unwind=*/true, u.imm.pair.x, u.a);
     case UOp::kJump:
       return taken(u.b, u.imm.pair.y);
     case UOp::kJumpZ:
@@ -154,7 +147,7 @@ Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s)
       for (uint64_t e = 0; e < arms; ++e) {
         const wasm::UBrEntry& be = tf.br_entries[base + e];
         WARAN_CHECK_OK(
-            taken(be.target, be.seg, 0, /*has_unwind=*/true, be.height, be.keep));
+            taken(be.target, be.seg, /*has_unwind=*/true, be.height, be.keep));
       }
       return {};
     }
@@ -252,44 +245,11 @@ Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s)
       s->pushes = (op == UOp::kMemoryCopy || op == UOp::kMemoryFill) ? 0 : 1;
       break;
 
-    // --- fused superinstructions (tier-1) ---
+    // --- fused superinstructions ---
     case UOp::kLocalMove:
     case UOp::kLCAddSetI32:
       WARAN_CHECK_OK(check_local(tf, i, op, u.a));
       WARAN_CHECK_OK(check_local(tf, i, op, u.b));
-      break;
-
-    // --- tier-2 specialized forms ---
-    case UOp::kJump2:
-      return taken(u.b, u.imm.pair.x, u.imm.pair.y);
-    case UOp::kJumpZ2:
-    case UOp::kJumpNZ2:
-      s->pops = 1;
-      s->node.falls_through = true;
-      return taken(u.b, u.imm.pair.x, u.imm.pair.y);
-    case UOp::kSegLocalGet:
-      WARAN_CHECK_OK(check_local(tf, i, op, u.b));
-      WARAN_CHECK_OK(charged(u.imm.pair.y));
-      s->pushes = 1;
-      s->node.falls_through = true;
-      s->node.fall_charge = u.imm.pair.y;
-      return {};
-    case UOp::kSegLocalMove:
-    case UOp::kSegLCAddSetI32:
-      WARAN_CHECK_OK(check_local(tf, i, op, u.a));
-      WARAN_CHECK_OK(check_local(tf, i, op, u.b));
-      WARAN_CHECK_OK(charged(u.imm.pair.y));
-      s->node.falls_through = true;
-      s->node.fall_charge = u.imm.pair.y;
-      return {};
-    case UOp::kLLGet:
-      WARAN_CHECK_OK(check_local(tf, i, op, u.a));
-      WARAN_CHECK_OK(check_local(tf, i, op, u.b));
-      s->pushes = 2;
-      break;
-    case UOp::kLGetCI32:
-      WARAN_CHECK_OK(check_local(tf, i, op, u.a));
-      s->pushes = 2;
       break;
 
     default: {
@@ -331,8 +291,7 @@ Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s)
                  between(op, UOp::kLCEqI32, UOp::kLCGeUI32)) {  // local+const fusions
         WARAN_CHECK_OK(check_local(tf, i, op, u.a));
         s->pushes = 1;
-      } else if (op == UOp::kCAddI32 || op == UOp::kCMulI32 || op == UOp::kCAndI32 ||
-                 between(op, UOp::kCSubI32, UOp::kCXorI32)) {  // const-folded in place
+      } else if (between(op, UOp::kCAddI32, UOp::kCAndI32)) {  // const-folded in place
         s->pops = 1;
         s->pushes = 1;
       } else if (between(op, UOp::kBrIfLLEq, UOp::kBrIfLLGeU)) {  // fused br: 2 locals
@@ -344,9 +303,6 @@ Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s)
         WARAN_CHECK_OK(check_local(tf, i, op, u.a));
         s->node.falls_through = true;
         return taken(u.b, u.imm.pair.y);
-      } else if (between(op, UOp::kAddSetI32, UOp::kXorSetI32)) {  // pop2 -> local
-        WARAN_CHECK_OK(check_local(tf, i, op, u.b));
-        s->pops = 2;
       } else {
         return inv("bad-opcode", i, op, "no verifier model for this op");
       }

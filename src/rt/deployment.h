@@ -97,12 +97,6 @@ struct DeploymentConfig {
   uint32_t slo_window_slots = 0;
   /// Objectives; empty = obs::default_slos(slot budget).
   std::vector<obs::SloSpec> slos;
-  /// Calls before a scheduler function tiers up to the specialized (tier-2)
-  /// interpreter backend, against a code cache owned by that cell's
-  /// PluginManager (single-writer: the cell executor thread). 0 = stay on
-  /// tier-1. Tier-up is call-count driven, so virtual-time runs stay
-  /// bit-identical with tiering on.
-  uint32_t tier_up_threshold = 0;
   /// Admission-time static analysis for the per-cell scheduler plugins
   /// (analysis/analysis.h): verify translated streams and check each
   /// export's static fuel/frame bounds against the slot budget at

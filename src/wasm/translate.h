@@ -91,18 +91,7 @@ namespace waran::wasm {
   X(BrIfLLGtU) X(BrIfLLLeS) X(BrIfLLLeU) X(BrIfLLGeS) X(BrIfLLGeU)            \
   X(BrIfLCEq) X(BrIfLCNe) X(BrIfLCLtS) X(BrIfLCLtU) X(BrIfLCGtS)              \
   X(BrIfLCGtU) X(BrIfLCLeS) X(BrIfLCLeU) X(BrIfLCGeS) X(BrIfLCGeU)            \
-  X(LocalMove) X(LCAddSetI32)                                                 \
-  /* tier-2 specialized forms (wasm/specialize.h). The baseline translator   \
-     never emits these; only the profile-guided specializer does. Every      \
-     dispatcher still carries their handlers so any backend can execute a    \
-     specialized stream (the differential oracle depends on that). */        \
-  X(Jump2) X(JumpZ2) X(JumpNZ2)                                              \
-  X(SegLocalGet) X(SegLocalMove) X(SegLCAddSetI32)                           \
-  X(LLGet) X(LGetCI32)                                                       \
-  X(CSubI32) X(CDivSI32) X(CDivUI32) X(CRemSI32) X(CRemUI32)                 \
-  X(CShlI32) X(CShrSI32) X(CShrUI32) X(COrI32) X(CXorI32)                    \
-  X(AddSetI32) X(SubSetI32) X(MulSetI32) X(AndSetI32) X(OrSetI32)            \
-  X(XorSetI32)
+  X(LocalMove) X(LCAddSetI32)
 
 enum class UOp : uint16_t {
 #define WARAN_UOP_ENUM(name) k##name,
@@ -140,24 +129,6 @@ inline constexpr uint32_t kRetTarget = UINT32_MAX;
 ///                    b = target (kRetTarget: return), pair.y = taken seg
 ///   kLocalMove       a = src local, b = dst local
 ///   kLCAddSetI32     a = src local, b = dst local, imm.i32 = addend
-/// Tier-2 forms (specializer-only; `pair` fields are written explicitly so
-/// layouts do not depend on how `imm.i32` aliases the union):
-///   kJump2/Z2/NZ2    b = final target after a collapsed jump->jump chain,
-///                    pair.y = first edge seg, pair.x = second edge seg
-///                    (charged in that order — the exact tier-1 sequence)
-///   kSegLocalGet     b = local, pair.y = segment charge
-///   kSegLocalMove    a = src local, b = dst local, pair.y = segment charge
-///   kSegLCAddSetI32  a = src local, b = dst local, pair.x = addend bits,
-///                    pair.y = segment charge
-///   kLLGet           a = first local pushed, b = second local pushed
-///   kLGetCI32        a = local pushed, pair.x = Value bits of the constant
-///                    pushed after it (fusion requires the original kConst
-///                    bits fit in 32 bits, so zero-extension reconstructs
-///                    them exactly)
-///   C*I32 (tier-2)   imm.i32 = constant folded into the stack top (div/rem
-///                    keep the operand order and trap text of the plain op;
-///                    shift handlers mask the count at run time)
-///   *SetI32          b = dst local (pops two operands, stores the result)
 struct UInstr {
   UOp op = UOp::kUnreachable;
   uint16_t a = 0;
@@ -217,8 +188,7 @@ Status translate_module(Module& m);
 
 /// Miscompile firewall hook. When set (waran::analysis installs its stream
 /// verifier here; see analysis/analysis.h), translate_function() checks its
-/// own output and Instance re-checks every tier-2 specialized stream before
-/// swapping it in, so a bad lowering fails at rewrite time instead of
+/// own output, so a bad lowering fails at translation time instead of
 /// surfacing as a runtime divergence. Null (the default) skips all checks —
 /// the production hot path pays nothing. The hook must be thread-safe and
 /// is read with relaxed atomics; install it once at startup, before

@@ -116,10 +116,11 @@ TEST(StreamVerifier, RejectsEachInvariantViolation) {
                    "stack-overflow");
   // return-arity: frame pop with fewer values than the signature returns.
   expect_invariant(m, make_tf({kSeg1, kRet}), "return-arity");
-  // height-merge: the same join reached at two different operand heights.
+  // height-merge: the same join reached at two different operand heights
+  // (taken at 0, fall-through after a push at 1).
   expect_invariant(m,
-                   make_tf({kSeg1, kConst, ui(UOp::kJumpZ, 0, 4, 0, 1),
-                            ui(UOp::kSegLocalGet, 0, 0, 0, 1), kRet},
+                   make_tf({kSeg1, kConst, ui(UOp::kJumpZ, 0, 5, 0, 1), kSeg1,
+                            ui(UOp::kLocalGet, 0, 0), kRet},
                            4, /*result_arity=*/0),
                    "height-merge");
   // unwind: branch unwinds to a height above the current operand height.

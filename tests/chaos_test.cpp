@@ -252,37 +252,6 @@ TEST(ChaosEpisode, MultiCellEpisodeHoldsInvariants) {
   EXPECT_EQ(r.injected_by_kind, r2.injected_by_kind);
 }
 
-TEST(ChaosEpisode, TieringIsInvisibleToTheInvariantSuite) {
-  // Same multicell episode, tier-1 vs tier-2: schedulers cross the tier
-  // boundary mid-campaign (threshold 8 ≪ calls per episode), while faults
-  // inject traps, starvation and quarantine around them. Specialization
-  // must be observationally invisible — every invariant holds and the
-  // fault/anomaly accounting is identical to the untiered run, because the
-  // specialized streams execute the same semantics for the same fuel.
-  EpisodeOptions opts;
-  opts.seed = 9;
-  opts.cells = 4;
-  opts.virtual_time = true;
-  EpisodeReport base = run_episode(opts);
-  ASSERT_TRUE(base.passed) << summarize(base);
-
-  opts.tier_up_threshold = 8;
-  EpisodeReport tiered = run_episode(opts);
-  EXPECT_TRUE(tiered.passed) << summarize(tiered);
-  for (const auto& v : tiered.violations) ADD_FAILURE() << v;
-  EXPECT_EQ(base.injections, tiered.injections);
-  EXPECT_EQ(base.anomalies, tiered.anomalies);
-  EXPECT_EQ(base.contained_errors, tiered.contained_errors);
-  EXPECT_EQ(base.injected_by_kind, tiered.injected_by_kind);
-
-  // And the tiered run itself replays bit-for-bit: call-count-driven
-  // tier-up is deterministic under virtual time.
-  EpisodeReport tiered2 = run_episode(opts);
-  EXPECT_EQ(tiered.injections, tiered2.injections);
-  EXPECT_EQ(tiered.anomalies, tiered2.anomalies);
-  EXPECT_EQ(tiered.injected_by_kind, tiered2.injected_by_kind);
-}
-
 // --- The campaign -----------------------------------------------------------
 
 TEST(ChaosCampaign, TwoHundredConsecutiveSeededEpisodesHoldAllInvariants) {

@@ -1,7 +1,5 @@
-// Differential execution: the threaded (computed-goto) dispatcher, the
-// tier-2 specializing dispatcher (both tiered-up-from-the-first-call and
-// crossing the tier boundary mid-sweep), and the portable switch
-// dispatcher are generated from the same interpreter core
+// Differential execution: the threaded (computed-goto) dispatcher and the
+// portable switch dispatcher are generated from the same interpreter core
 // (wasm/interp_loop.inc), and this suite pins down that they stay
 // observably identical — results, trap codes and messages, fuel_used,
 // instrs_retired, and linear-memory contents — across a wcc program corpus,
@@ -83,40 +81,24 @@ Outcome run_one(wasm::Instance& inst, const char* fn,
   return o;
 }
 
-/// One module instantiated four ways — switch oracle vs threaded hot path
-/// vs two tier-2 variants: threshold 1 (every call runs the specialized
-/// stream, rewritten from an empty profile) and threshold 2 (call #1 runs
-/// tier-1 under the specializing dispatcher and gathers branch bias, call
-/// #2 crosses the tier boundary mid-sweep, so the threshold crossing
-/// itself is inside the comparison).
+/// One module instantiated twice — switch oracle vs threaded hot path.
 struct DiffPair {
   std::unique_ptr<wasm::Instance> oracle;    // Dispatch::kSwitch
   std::unique_ptr<wasm::Instance> threaded;  // Dispatch::kThreaded
-  std::unique_ptr<wasm::Instance> spec1;     // kSpecialized, threshold 1
-  std::unique_ptr<wasm::Instance> spec2;     // kSpecialized, threshold 2
 
-  /// Runs the call on every instance and asserts identical outcomes.
+  /// Runs the call on both instances and asserts identical outcomes.
   void expect_same(const char* fn, const std::vector<TypedValue>& args,
                    const CallOptions& opts = {}) {
     const Outcome a = run_one(*oracle, fn, args, opts);
-    const struct {
-      const char* name;
-      wasm::Instance* inst;
-    } others[] = {{"threaded", threaded.get()},
-                  {"specialized/1", spec1.get()},
-                  {"specialized/2", spec2.get()}};
-    for (const auto& [name, inst] : others) {
-      Outcome b = run_one(*inst, fn, args, opts);
-      EXPECT_EQ(a.ok, b.ok) << fn << " (" << name << "): " << a.message
-                            << " vs " << b.message;
-      EXPECT_EQ(a.error_code, b.error_code) << fn << " (" << name << ")";
-      EXPECT_EQ(a.message, b.message) << fn << " (" << name << ")";
-      EXPECT_EQ(a.has_value, b.has_value) << fn << " (" << name << ")";
-      EXPECT_EQ(a.bits, b.bits) << fn << " (" << name << ")";
-      EXPECT_EQ(a.fuel_used, b.fuel_used) << fn << " (" << name << ")";
-      EXPECT_EQ(a.instrs, b.instrs) << fn << " (" << name << ")";
-      EXPECT_EQ(a.mem_hash, b.mem_hash) << fn << " (" << name << ")";
-    }
+    const Outcome b = run_one(*threaded, fn, args, opts);
+    EXPECT_EQ(a.ok, b.ok) << fn << ": " << a.message << " vs " << b.message;
+    EXPECT_EQ(a.error_code, b.error_code) << fn;
+    EXPECT_EQ(a.message, b.message) << fn;
+    EXPECT_EQ(a.has_value, b.has_value) << fn;
+    EXPECT_EQ(a.bits, b.bits) << fn;
+    EXPECT_EQ(a.fuel_used, b.fuel_used) << fn;
+    EXPECT_EQ(a.instrs, b.instrs) << fn;
+    EXPECT_EQ(a.mem_hash, b.mem_hash) << fn;
   }
 };
 
@@ -133,15 +115,8 @@ Result<DiffPair> make_pair_from_bytes(std::span<const uint8_t> bytes,
   WARAN_TRY(sw, wasm::Instance::instantiate(shared, linker, opt));
   opt.dispatch = Dispatch::kThreaded;
   WARAN_TRY(th, wasm::Instance::instantiate(shared, linker, opt));
-  opt.dispatch = Dispatch::kSpecialized;
-  opt.tier_up_threshold = 1;
-  WARAN_TRY(s1, wasm::Instance::instantiate(shared, linker, opt));
-  opt.tier_up_threshold = 2;
-  WARAN_TRY(s2, wasm::Instance::instantiate(shared, linker, opt));
   pair.oracle = std::move(sw);
   pair.threaded = std::move(th);
-  pair.spec1 = std::move(s1);
-  pair.spec2 = std::move(s2);
   return pair;
 }
 
@@ -165,8 +140,6 @@ TEST(InterpDifferential, ThreadedDispatchIsAvailableWhereExpected) {
   auto pair = make_pair_wcc("export fn f() -> i32 { return 7; }");
   EXPECT_EQ(pair.oracle->dispatch(), Dispatch::kSwitch);
   EXPECT_EQ(pair.threaded->dispatch(), Dispatch::kThreaded);
-  EXPECT_EQ(pair.spec1->dispatch(), Dispatch::kSpecialized);
-  EXPECT_EQ(pair.spec2->dispatch(), Dispatch::kSpecialized);
 #else
   GTEST_SKIP() << "toolchain has no computed-goto dispatch";
 #endif
@@ -468,13 +441,11 @@ wasm::Linker stub_linker(const wasm::Module& m) {
   return linker;
 }
 
-TEST(InterpDifferential, VerifierAcceptsTierStreams) {
-  // With the stream firewall installed, every lowering (translate) and every
-  // tier-2 rewrite (tier-up swap) self-checks against the verifier; this
-  // test then re-verifies each instance's active streams explicitly after
-  // forcing the tier boundary, so both tiers of every scheduler are covered.
+TEST(InterpDifferential, VerifierAcceptsSchedulerStreams) {
+  // With the stream firewall installed every lowering self-checks against
+  // the verifier; this test re-verifies each scheduler's streams explicitly.
   analysis::install_stream_firewall();
-  for (const char* kind : {"rr", "pf", "mt"}) {
+  for (const char* kind : {"rr", "pf", "mt", "drr"}) {
     auto bytes = sched::plugins::scheduler(kind);
     ASSERT_TRUE(bytes.ok()) << kind;
     auto decoded = wasm::decode_module(*bytes);
@@ -483,29 +454,6 @@ TEST(InterpDifferential, VerifierAcceptsTierStreams) {
     ASSERT_TRUE(wasm::translate_module(*decoded).ok()) << kind;
     EXPECT_TRUE(analysis::verify_module(*decoded, *decoded->translated).ok())
         << kind;
-
-    auto pair = make_pair_from_bytes(*bytes, stub_linker(*decoded));
-    ASSERT_TRUE(pair.ok()) << (pair.ok() ? "" : pair.error().message);
-    CallOptions opts;
-    opts.fuel = 200'000;
-    // Two calls: spec2 crosses the tier boundary on the second one, so the
-    // firewall sees the rewrite happen on both instances.
-    for (int i = 0; i < 2; ++i) {
-      run_one(*pair->spec1, "schedule", {}, opts);
-      run_one(*pair->spec2, "schedule", {}, opts);
-    }
-    EXPECT_GT(pair->spec1->tier_up_events(), 0u) << kind;
-    EXPECT_GT(pair->spec2->tier_up_events(), 0u) << kind;
-
-    for (wasm::Instance* inst : {pair->spec1.get(), pair->spec2.get()}) {
-      const size_t n = inst->translation()->funcs.size();
-      for (uint32_t di = 0; di < n; ++di) {
-        Status st = analysis::verify_func(inst->module(),
-                                          *inst->active_stream(di));
-        EXPECT_TRUE(st.ok())
-            << kind << " func " << di << ": " << st.error().message;
-      }
-    }
   }
 }
 
@@ -513,27 +461,10 @@ TEST(InterpDifferential, CorruptedStreamsAreRejected) {
   // Deterministic corruptions of uop immediates, each guaranteed to break a
   // stream invariant (arbitrary bit flips can land on another legal stream,
   // e.g. in kConst payload bits — those are the mutants above). Applied to
-  // the tier-1 stream of every scheduler function and to every tier-2
-  // rewrite after forcing tier-up.
+  // the stream of every scheduler function.
   using wasm::TranslatedFunc;
   using wasm::UOp;
 
-  auto zero_charge = [](TranslatedFunc& tf) {
-    // Op 0 is always charge-leading (else entry-charge would fire), so
-    // zeroing its charge field trips zero-charge.
-    switch (tf.ops[0].op) {
-      case UOp::kSeg:
-        tf.ops[0].b = 0;
-        return true;
-      case UOp::kSegLocalGet:
-      case UOp::kSegLocalMove:
-      case UOp::kSegLCAddSetI32:
-        tf.ops[0].imm.pair.y = 0;
-        return true;
-      default:
-        return false;
-    }
-  };
   auto is_branch = [](UOp op) {
     return op == UOp::kJump || op == UOp::kJumpZ || op == UOp::kJumpNZ ||
            op == UOp::kBr || op == UOp::kBrIf;
@@ -547,8 +478,7 @@ TEST(InterpDifferential, CorruptedStreamsAreRejected) {
   auto first_local_op = [](const TranslatedFunc& tf) -> int64_t {
     for (size_t i = 0; i < tf.ops.size(); ++i) {
       const UOp op = tf.ops[i].op;
-      if (op == UOp::kLocalGet || op == UOp::kLocalSet ||
-          op == UOp::kLocalTee || op == UOp::kSegLocalGet) {
+      if (op == UOp::kLocalGet || op == UOp::kLocalSet || op == UOp::kLocalTee) {
         return static_cast<int64_t>(i);
       }
     }
@@ -586,12 +516,12 @@ TEST(InterpDifferential, CorruptedStreamsAreRejected) {
       expect_rejected(m, tf, (tag + "/fall-off-end").c_str());
       ++corruptions;
     }
-    {  // zero-charge: op 0 charges nothing
+    {  // zero-charge: op 0 is always a kSeg (else entry-charge would
+       // fire); make it charge nothing
       TranslatedFunc tf = base;
-      if (zero_charge(tf)) {
-        expect_rejected(m, tf, (tag + "/zero-charge").c_str());
-        ++corruptions;
-      }
+      tf.ops[0].b = 0;
+      expect_rejected(m, tf, (tag + "/zero-charge").c_str());
+      ++corruptions;
     }
     if (int64_t i = first_branch(base); i >= 0) {
       {  // target-range: branch off the end of the stream
@@ -617,31 +547,16 @@ TEST(InterpDifferential, CorruptedStreamsAreRejected) {
     }
   };
 
-  for (const char* kind : {"rr", "pf", "mt"}) {
+  for (const char* kind : {"rr", "pf", "mt", "drr"}) {
     auto bytes = sched::plugins::scheduler(kind);
     ASSERT_TRUE(bytes.ok()) << kind;
     auto decoded = wasm::decode_module(*bytes);
     ASSERT_TRUE(decoded.ok());
     ASSERT_TRUE(wasm::validate_module(*decoded).ok());
     ASSERT_TRUE(wasm::translate_module(*decoded).ok());
-
-    // Tier-1 streams.
     for (size_t fi = 0; fi < decoded->translated->funcs.size(); ++fi) {
       corrupt_all_ways(*decoded, decoded->translated->funcs[fi],
-                       std::string(kind) + "/t1/f" + std::to_string(fi));
-    }
-
-    // Tier-2 streams: force tier-up, then corrupt each active stream.
-    auto pair = make_pair_from_bytes(*bytes, stub_linker(*decoded));
-    ASSERT_TRUE(pair.ok());
-    CallOptions opts;
-    opts.fuel = 200'000;
-    run_one(*pair->spec1, "schedule", {}, opts);
-    ASSERT_GT(pair->spec1->tier_up_events(), 0u) << kind;
-    const size_t n = pair->spec1->translation()->funcs.size();
-    for (uint32_t di = 0; di < n; ++di) {
-      corrupt_all_ways(pair->spec1->module(), *pair->spec1->active_stream(di),
-                       std::string(kind) + "/t2/f" + std::to_string(di));
+                       std::string(kind) + "/f" + std::to_string(fi));
     }
   }
   // The battery must have actually fired across the corpus.
@@ -654,8 +569,7 @@ TEST(InterpDifferential, ValidatedMutantsMatch) {
   // stubbed host ABI and a tight fuel budget, and require identical
   // observable behavior — the differential analogue of
   // Fuzz.ValidatedMutantsAreSafeToRun, widened across the plugin corpus
-  // and deeper corruption. The stream firewall stays installed so tier-up
-  // rewrites are also verified in-line.
+  // and deeper corruption.
   analysis::install_stream_firewall();
   int kind_index = 0;
   for (const char* kind : {"rr", "pf", "mt"}) {
@@ -694,16 +608,6 @@ TEST(InterpDifferential, ValidatedMutantsMatch) {
       CallOptions opts;
       opts.fuel = 200'000;
       pair->expect_same("schedule", {}, opts);
-
-      // The tier-2 rewrites of every mutant must pass the verifier too
-      // (spec1 tiered up during expect_same).
-      const size_t nfuncs = pair->spec1->translation()->funcs.size();
-      for (uint32_t di = 0; di < nfuncs; ++di) {
-        Status t2 = analysis::verify_func(pair->spec1->module(),
-                                          *pair->spec1->active_stream(di));
-        ASSERT_TRUE(t2.ok()) << kind << " mutant round " << round << " func "
-                             << di << ": " << t2.error().message;
-      }
     }
     EXPECT_GT(executed, 0) << kind;
   }

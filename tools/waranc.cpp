@@ -5,10 +5,7 @@
 //   waranc check  plugin.wasm                            decode + validate
 //                                                        (the MNO's pre-deployment
 //                                                        static analysis, §3A)
-//   waranc dump   plugin.wasm [--tiers]                  disassemble
-//                                                        (--tiers: tier-1 vs
-//                                                        tier-2 micro-op
-//                                                        streams side by side)
+//   waranc dump   plugin.wasm                            disassemble
 //   waranc asm    plugin.wat [-o plugin.wasm]            assemble WAT text
 //   waranc run    plugin.wasm EXPORT [--input-hex BYTES] [--fuel N]
 //                                                        execute through the
@@ -42,7 +39,7 @@ int usage() {
                "usage:\n"
                "  waranc build plugin.w [-o out.wasm] [--no-opt]\n"
                "  waranc check plugin.wasm\n"
-               "  waranc dump plugin.wasm [--tiers]\n"
+               "  waranc dump plugin.wasm\n"
                "  waranc asm plugin.wat [-o out.wasm]\n"
                "  waranc run plugin.wasm EXPORT [--input-hex BYTES] [--fuel N]\n"
                "  waranc analyze plugin.wasm [--fuel N] [--depth N]\n");
@@ -153,61 +150,13 @@ int cmd_check(const std::string& path) {
   return 0;
 }
 
-// Two listings printed as columns: tier-1 left, tier-2 right. The charge
-// annotations line up, making merged segments and collapsed chains obvious.
-void print_side_by_side(const std::string& left, const std::string& right) {
-  auto split = [](const std::string& s) {
-    std::vector<std::string> lines;
-    size_t start = 0;
-    while (start < s.size()) {
-      size_t end = s.find('\n', start);
-      if (end == std::string::npos) end = s.size();
-      lines.push_back(s.substr(start, end - start));
-      start = end + 1;
-    }
-    return lines;
-  };
-  const std::vector<std::string> l = split(left);
-  const std::vector<std::string> r = split(right);
-  size_t width = 0;
-  for (const std::string& line : l) width = std::max(width, line.size());
-  width += 2;
-  for (size_t i = 0; i < std::max(l.size(), r.size()); ++i) {
-    const std::string& lv = i < l.size() ? l[i] : std::string();
-    const std::string& rv = i < r.size() ? r[i] : std::string();
-    std::printf("%-*s | %s\n", static_cast<int>(width), lv.c_str(), rv.c_str());
-  }
-}
-
-int cmd_dump(int argc, char** argv) {
-  std::string path;
-  bool tiers = false;
-  for (int i = 0; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--tiers") {
-      tiers = true;
-    } else if (path.empty()) {
-      path = std::move(arg);
-    } else {
-      return usage();
-    }
-  }
-  if (path.empty()) return usage();
+int cmd_dump(const std::string& path) {
   auto module = load_module(path);
   if (!module.ok()) {
     std::fprintf(stderr, "waranc: %s\n", module.error().message.c_str());
     return 1;
   }
-  if (!tiers) {
-    std::fputs(wasm::disassemble(*module).c_str(), stdout);
-    return 0;
-  }
-  for (size_t i = 0; i < module->codes.size(); ++i) {
-    const uint32_t di = static_cast<uint32_t>(i);
-    print_side_by_side(wasm::disassemble_translated(*module, di),
-                       wasm::disassemble_specialized(*module, di));
-    std::printf("\n");
-  }
+  std::fputs(wasm::disassemble(*module).c_str(), stdout);
   return 0;
 }
 
@@ -380,7 +329,7 @@ int main(int argc, char** argv) {
   std::string cmd = argv[1];
   if (cmd == "build") return cmd_build(argc - 2, argv + 2);
   if (cmd == "check") return cmd_check(argv[2]);
-  if (cmd == "dump") return cmd_dump(argc - 2, argv + 2);
+  if (cmd == "dump") return cmd_dump(argv[2]);
   if (cmd == "asm") return cmd_asm(argc - 2, argv + 2);
   if (cmd == "run") return cmd_run(argc - 2, argv + 2);
   if (cmd == "analyze") return cmd_analyze(argc - 2, argv + 2);
