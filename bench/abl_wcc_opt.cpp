@@ -52,7 +52,7 @@ void run_plugin_bench(benchmark::State& state, const std::string& src,
     benchmark::DoNotOptimize(r);
   }
   state.SetLabel((optimize ? "opt " : "noopt ") +
-                 std::to_string(p->last_call_instructions()) + " instr/call");
+                 std::to_string(p->last_call_stats().instrs_retired) + " instr/call");
 }
 
 void BM_PfPlugin(benchmark::State& state) {

@@ -74,7 +74,7 @@ int main() {
   const plugin::SlotHealth* h = mgr.health("mvno");
   std::printf("\nslot 'mvno': %llu calls, %llu successful swaps — gNB uptime 100%%,\n"
               "no UE detached, scheduler faults answered by host fallback: %llu\n",
-              static_cast<unsigned long long>(h->calls),
+              static_cast<unsigned long long>(mgr.cost("mvno")->calls()),
               static_cast<unsigned long long>(h->swaps),
               static_cast<unsigned long long>(mac.slice_stats(1)->scheduler_faults));
   return 0;

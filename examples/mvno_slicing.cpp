@@ -105,7 +105,7 @@ int main() {
   for (const Mvno& m : mvnos) {
     if (const plugin::SlotHealth* h = mgr.health(m.name)) {
       std::printf("%-10s plugin: %llu scheduling calls, %llu faults\n", m.name,
-                  static_cast<unsigned long long>(h->calls),
+                  static_cast<unsigned long long>(mgr.cost(m.name)->calls()),
                   static_cast<unsigned long long>(h->faults));
     }
   }

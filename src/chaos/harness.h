@@ -11,8 +11,10 @@
 //      grows, empty schedules, dropped frames).
 //   3. Conservation laws hold: PRB grants never exceed carrier capacity,
 //      and link frames balance (sent + duplicated == delivered + dropped).
-//   4. Per-slot accounting balances across layers: SlotHealth, CallCostAcc
-//      and the metrics registry agree call for call.
+//   4. Per-slot accounting balances across layers: the registry's call and
+//      trap counters equal the slot's own record (CallCostAcc calls,
+//      SlotHealth traps), and each slot's faults split exactly into traps
+//      and fuel exhaustions.
 //   5. The engine's warm call path stays allocation-free even while faults
 //      fire around it (measured via the heap probe when the embedding
 //      binary installs the counting operator new).

@@ -1,7 +1,8 @@
 // Statistics helpers for the evaluation harness: an exact quantile
 // accumulator (the paper reports 50th/99th percentile execution times via
-// Boost Accumulators; we keep all samples and compute exact order statistics)
-// and a windowed rate meter (bit/s over a sliding window, as iperf3 reports).
+// Boost Accumulators; we keep all samples and compute exact order statistics),
+// a windowed rate meter (bit/s over a sliding window, as iperf3 reports) and
+// fixed-size per-plugin-slot call-cost totals.
 #pragma once
 
 #include <cstddef>
@@ -92,41 +93,26 @@ class RateMeter {
   uint64_t total_bits_ = 0;
 };
 
-/// Aggregates per-call cost records — fuel used, instructions retired, wall
-/// time, peak interpreter stack depth — as reported by the engine's
-/// CallStats. One accumulator per plugin slot gives the evaluation harness
-/// exact p50/p99 execution times plus fuel/depth envelopes per plugin.
+/// Per-slot call-cost totals — calls, fuel used, instructions retired —
+/// fed from the engine's CallStats on every sandbox crossing. Fixed size:
+/// the per-call wall-time distribution lives in the metrics registry's
+/// bounded `waran_plugin_wall_ns` histogram, fed by the same crossing.
 class CallCostAcc {
  public:
-  void add(uint64_t fuel_used, uint64_t instrs, uint64_t wall_ns, uint32_t peak_depth) {
+  void add(uint64_t fuel_used, uint64_t instrs) {
     ++calls_;
     total_fuel_ += fuel_used;
     total_instrs_ += instrs;
-    if (peak_depth > max_peak_depth_) max_peak_depth_ = peak_depth;
-    wall_ns_.add(static_cast<double>(wall_ns));
   }
 
   uint64_t calls() const { return calls_; }
   uint64_t total_fuel() const { return total_fuel_; }
   uint64_t total_instrs() const { return total_instrs_; }
-  uint32_t max_peak_depth() const { return max_peak_depth_; }
-  /// Wall-time distribution in nanoseconds (exact order statistics).
-  const QuantileAcc& wall_ns() const { return wall_ns_; }
-
-  void clear() {
-    calls_ = 0;
-    total_fuel_ = 0;
-    total_instrs_ = 0;
-    max_peak_depth_ = 0;
-    wall_ns_.clear();
-  }
 
  private:
   uint64_t calls_ = 0;
   uint64_t total_fuel_ = 0;
   uint64_t total_instrs_ = 0;
-  uint32_t max_peak_depth_ = 0;
-  QuantileAcc wall_ns_;
 };
 
 }  // namespace waran

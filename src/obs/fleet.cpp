@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -10,47 +9,6 @@
 #include "obs/trace.h"
 
 namespace waran::obs {
-
-// ---------------------------------------------------------------------------
-// HistState
-
-HistState HistState::from(const Histogram& h) {
-  HistState s;
-  for (size_t k = 0; k < Histogram::kBuckets; ++k) s.buckets[k] = h.bucket_count(k);
-  s.sum = h.sum();
-  s.count = h.count();
-  return s;
-}
-
-void HistState::merge(const HistState& o) {
-  for (size_t k = 0; k < Histogram::kBuckets; ++k) buckets[k] += o.buckets[k];
-  sum += o.sum;
-  count += o.count;
-}
-
-void HistState::subtract(const HistState& base) {
-  for (size_t k = 0; k < Histogram::kBuckets; ++k) buckets[k] -= base.buckets[k];
-  sum -= base.sum;
-  count -= base.count;
-}
-
-uint64_t HistState::quantile(double q) const {
-  // Mirrors Histogram::quantile bit for bit: nearest rank (1-based, ceil),
-  // reported as the containing bucket's upper bound minus one.
-  const uint64_t n = count;
-  if (n == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  uint64_t rank = static_cast<uint64_t>(std::ceil(q * static_cast<double>(n)));
-  if (rank < 1) rank = 1;
-  if (rank > n) rank = n;
-  uint64_t cum = 0;
-  for (size_t k = 0; k < Histogram::kBuckets; ++k) {
-    cum += buckets[k];
-    if (cum >= rank) return k == 0 ? 0 : Histogram::bucket_upper_bound(k) - 1;
-  }
-  return Histogram::bucket_upper_bound(Histogram::kBuckets - 1);
-}
 
 // ---------------------------------------------------------------------------
 // CellTelemetry

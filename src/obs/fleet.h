@@ -48,26 +48,6 @@ namespace waran::obs {
 
 class TraceRing;
 
-/// Exact snapshot of a log2 Histogram: plain counters, mergeable bucket by
-/// bucket. quantile() mirrors Histogram::quantile (nearest rank, bucket
-/// upper bound minus one) so a merged state answers exactly what a single
-/// combined histogram would.
-struct HistState {
-  uint64_t buckets[Histogram::kBuckets] = {};
-  uint64_t sum = 0;
-  uint64_t count = 0;
-
-  static HistState from(const Histogram& h);
-  void merge(const HistState& o);
-  /// Subtracts an earlier snapshot of the same histogram (window delta).
-  void subtract(const HistState& base);
-  uint64_t quantile(double q) const;
-  double mean() const {
-    return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
-  }
-  bool operator==(const HistState&) const = default;
-};
-
 /// One cell's telemetry summary (or a rollup of several — see merge()).
 /// Flat POD so it crosses the E2 wire as fixed-width little-endian fields
 /// and compares exactly with operator==.

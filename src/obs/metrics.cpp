@@ -20,27 +20,50 @@ uint64_t Histogram::bucket_upper_bound(size_t k) {
   return uint64_t{1} << k;
 }
 
-uint64_t Histogram::quantile(double q) const {
-  const uint64_t n = count();
-  if (n == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Nearest rank (1-based, ceil), as QuantileAcc does.
-  uint64_t rank = static_cast<uint64_t>(std::ceil(q * static_cast<double>(n)));
-  if (rank < 1) rank = 1;
-  if (rank > n) rank = n;
-  uint64_t cum = 0;
-  for (size_t k = 0; k < kBuckets; ++k) {
-    cum += bucket_count(k);
-    if (cum >= rank) return k == 0 ? 0 : bucket_upper_bound(k) - 1;
-  }
-  return bucket_upper_bound(kBuckets - 1);
-}
+uint64_t Histogram::quantile(double q) const { return HistState::from(*this).quantile(q); }
 
 void Histogram::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
+}
+
+HistState HistState::from(const Histogram& h) {
+  // add() bumps the bucket before the count, so reading the count first
+  // keeps a snapshot taken during concurrent adds from counting more
+  // samples than its buckets hold.
+  HistState s;
+  s.count = h.count();
+  s.sum = h.sum();
+  for (size_t k = 0; k < Histogram::kBuckets; ++k) s.buckets[k] = h.bucket_count(k);
+  return s;
+}
+
+void HistState::merge(const HistState& o) {
+  for (size_t k = 0; k < Histogram::kBuckets; ++k) buckets[k] += o.buckets[k];
+  sum += o.sum;
+  count += o.count;
+}
+
+void HistState::subtract(const HistState& base) {
+  for (size_t k = 0; k < Histogram::kBuckets; ++k) buckets[k] -= base.buckets[k];
+  sum -= base.sum;
+  count -= base.count;
+}
+
+uint64_t HistState::quantile(double q) const {
+  if (count == 0) return 0;
+  if (q < 0.0) q = 0.0;
+  if (q > 1.0) q = 1.0;
+  uint64_t rank = static_cast<uint64_t>(std::ceil(q * static_cast<double>(count)));
+  if (rank < 1) rank = 1;
+  if (rank > count) rank = count;
+  uint64_t cum = 0;
+  for (size_t k = 0; k < Histogram::kBuckets; ++k) {
+    cum += buckets[k];
+    if (cum >= rank) return k == 0 ? 0 : Histogram::bucket_upper_bound(k) - 1;
+  }
+  return Histogram::bucket_upper_bound(Histogram::kBuckets - 1);
 }
 
 MetricsRegistry& MetricsRegistry::global() {

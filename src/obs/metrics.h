@@ -1,9 +1,9 @@
 // waran::obs metrics registry — named counters, gauges and fixed-bucket
 // log-scale histograms, with Prometheus text exposition and a JSON snapshot.
 //
-// Unlike common/stats.h's QuantileAcc (exact order statistics, one heap
-// append per sample — right for offline evaluation), these instruments are
-// built for the hot path: a counter add is one relaxed atomic add, a
+// Unlike an exact order-statistics accumulator (one heap append per sample —
+// right for offline evaluation), these instruments are bounded and built
+// for the hot path: a counter add is one relaxed atomic add, a
 // histogram add is two atomic adds and an increment of one of 65
 // fixed power-of-two buckets. Nothing on the add path allocates or locks.
 //
@@ -54,7 +54,7 @@ class Gauge {
 /// Bucket k (k >= 1) counts values v with 2^(k-1) <= v < 2^k; bucket 0
 /// counts v == 0. Index is std::bit_width(v), so `add` is O(1) with no
 /// branches on the bucket search. Quantiles are log-scale estimates (the
-/// bucket's upper bound); exact distributions stay with QuantileAcc.
+/// bucket's upper bound), answered from a HistState snapshot.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 65;
@@ -72,9 +72,7 @@ class Histogram {
   }
   /// Exclusive upper bound of bucket k: 2^k (UINT64_MAX for k = 64).
   static uint64_t bucket_upper_bound(size_t k);
-  /// Nearest-rank quantile estimate, reported as the upper bound of the
-  /// bucket containing that rank (an over-estimate by at most 2x). q in
-  /// [0,1]; 0 when empty.
+  /// HistState::quantile of a snapshot of this histogram.
   uint64_t quantile(double q) const;
   void reset();
 
@@ -82,6 +80,28 @@ class Histogram {
   std::atomic<uint64_t> buckets_[kBuckets] = {};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> count_{0};
+};
+
+/// Exact snapshot of a log2 Histogram: plain counters, mergeable bucket by
+/// bucket, so a merged state answers exactly what a single combined
+/// histogram would.
+struct HistState {
+  uint64_t buckets[Histogram::kBuckets] = {};
+  uint64_t sum = 0;
+  uint64_t count = 0;
+
+  static HistState from(const Histogram& h);
+  void merge(const HistState& o);
+  /// Subtracts an earlier snapshot of the same histogram (window delta).
+  void subtract(const HistState& base);
+  /// Nearest-rank quantile estimate (1-based rank, ceil), reported as the
+  /// upper bound minus one of the bucket containing that rank (an
+  /// over-estimate by at most 2x). q in [0,1], clamped; 0 when empty.
+  uint64_t quantile(double q) const;
+  double mean() const {
+    return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
+  }
+  bool operator==(const HistState&) const = default;
 };
 
 /// A label set, rendered in sorted Prometheus form.

@@ -118,7 +118,6 @@ Result<std::vector<uint8_t>> PluginManager::call(const std::string& slot,
     return Error::state("slot '" + slot + "' is quarantined after repeated faults");
   }
   obs::ObsSpan span(obs::TraceCat::kPlugin, slot);
-  ++s.health.calls;
   s.m_calls->add();
 
   CallIntercept intercept;
@@ -127,10 +126,10 @@ Result<std::vector<uint8_t>> PluginManager::call(const std::string& slot,
   Result<std::vector<uint8_t>> result = Error::internal("uninitialized");
   if (intercept.fail) {
     // Injected failure: the sandbox is never entered, so the crossing costs
-    // nothing — but it still counts as a call so the accounting invariant
-    // (health.calls == cost.calls() == calls_total) holds.
+    // nothing — but it still counts as a call, so cost.calls() and
+    // calls_total agree.
     result = *intercept.fail;
-    s.cost.add(0, 0, 0, 0);
+    s.cost.add(0, 0);
     s.m_wall_ns->add(0);
   } else {
     CallOverrides overrides;
@@ -138,11 +137,11 @@ Result<std::vector<uint8_t>> PluginManager::call(const std::string& slot,
     overrides.deadline_ns = intercept.deadline_ns;
     result = s.plugin->call(fn, input, overrides);
     // Canonical telemetry path: every sandbox crossing feeds the engine's
-    // CallStats into both the exact per-slot accumulator (CallCostAcc, for
-    // offline p50/p99) and the metrics registry (for live exposition) —
-    // including faulting calls, whose partial cost still counts.
+    // CallStats into the slot's fixed-size totals (CallCostAcc) and the
+    // metrics registry (counters plus the wall-time histogram) — including
+    // faulting calls, whose partial cost still counts.
     const wasm::CallStats& cs = s.plugin->last_call_stats();
-    s.cost.add(cs.fuel_used, cs.instrs_retired, cs.wall_ns, cs.peak_stack_depth);
+    s.cost.add(cs.fuel_used, cs.instrs_retired);
     s.m_fuel_used->add(cs.fuel_used);
     s.m_instrs->add(cs.instrs_retired);
     s.m_wall_ns->add(cs.wall_ns);

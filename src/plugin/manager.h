@@ -29,8 +29,9 @@
 
 namespace waran::plugin {
 
+/// Fault and lifecycle state of one slot. Call counts and cost live in the
+/// slot's CallCostAcc (PluginManager::cost).
 struct SlotHealth {
-  uint64_t calls = 0;
   uint64_t faults = 0;            // sandbox faults: traps, fuel, limits
   uint64_t traps = 0;             //   .. of which wasm traps (OOB, unreachable, ...)
   uint64_t fuel_exhaustions = 0;  //   .. of which fuel/deadline exhaustion
@@ -96,10 +97,11 @@ class PluginManager {
   std::vector<std::string> slot_names() const;
 
   const SlotHealth* health(const std::string& slot) const;
-  /// Per-slot call-cost distribution (fuel, instructions, wall time, stack
-  /// depth), accumulated from the engine's CallStats on every call —
-  /// including faulting ones, whose partial cost still counts against the
-  /// slot. Null if the slot does not exist.
+  /// Per-slot call-cost totals (calls, fuel, instructions), accumulated
+  /// from the engine's CallStats on every dispatched call — including
+  /// faulting ones, whose partial cost still counts against the slot, and
+  /// injected failures, which count as zero-cost calls. A quarantined
+  /// slot's refused calls are not counted. Null if the slot does not exist.
   const CallCostAcc* cost(const std::string& slot) const;
   /// Lifts quarantine manually (operator intervention).
   Status reset_quarantine(const std::string& slot);

@@ -169,19 +169,8 @@ Result<std::vector<uint8_t>> Plugin::call(const std::string& fn,
     options.deadline = std::chrono::nanoseconds(deadline_ns);
   }
 
-  ++stats_.calls;
   auto result = instance_->call(fn, {}, options, &last_call_stats_);
-  stats_.instructions_retired += last_call_stats_.instrs_retired;
-
-  if (!result.ok()) {
-    if (result.error().code == Error::Code::kFuelExhausted) {
-      ++stats_.fuel_exhaustions;
-    } else {
-      ++stats_.traps;
-    }
-    stats_.last_error = result.error().message;
-    return result.error();
-  }
+  if (!result.ok()) return result.error();
   if (!result->has_value() || (*result)->type != ValType::kI32) {
     return Error::validation("plugin entrypoint must have type () -> i32");
   }
@@ -190,9 +179,7 @@ Result<std::vector<uint8_t>> Plugin::call(const std::string& fn,
     // A nonzero status is the plugin *deliberately* rejecting the input
     // (e.g. a comm plugin refusing a corrupt frame) — an application-level
     // outcome, not a sandbox fault.
-    ++stats_.declines;
-    stats_.last_error = "plugin returned status " + std::to_string(code);
-    return Error::state(stats_.last_error);
+    return Error::state("plugin returned status " + std::to_string(code));
   }
   return exchange_.output;
 }

@@ -41,16 +41,6 @@ struct PluginLimits {
   analysis::AdmissionMode admission = analysis::AdmissionMode::kOff;
 };
 
-/// Lifetime call statistics, exposed for the evaluation harness.
-struct PluginStats {
-  uint64_t calls = 0;
-  uint64_t traps = 0;             ///< sandbox faults (OOB, unreachable, ...)
-  uint64_t fuel_exhaustions = 0;  ///< deadline overruns
-  uint64_t declines = 0;          ///< plugin-declared rejections (nonzero status)
-  uint64_t instructions_retired = 0;
-  std::string last_error;
-};
-
 /// One-call budget overrides, tightening (or loosening) the slot's standing
 /// PluginLimits for a single sandbox crossing. The chaos harness uses this
 /// to force *real* engine-level fuel/deadline exhaustion on schedule; the
@@ -80,15 +70,13 @@ class Plugin {
   /// True if the module exports function `fn`.
   bool has_export(const std::string& fn) const;
 
-  const PluginStats& stats() const { return stats_; }
   const PluginLimits& limits() const { return limits_; }
 
   /// Adjusts the per-call fuel budget at runtime (driven by FuelGovernor).
   void set_fuel_per_call(uint64_t fuel) { limits_.fuel_per_call = fuel; }
-  /// Instructions retired by the most recent call (0 before any call).
-  uint64_t last_call_instructions() const { return last_call_stats_.instrs_retired; }
-  /// Full cost record of the most recent call (fuel, instructions, wall
-  /// time, peak interpreter stack depth).
+  /// Cost record of the most recent call (fuel, instructions, wall time,
+  /// peak interpreter stack depth); all zero before any call and after a
+  /// call refused before dispatch.
   const wasm::CallStats& last_call_stats() const { return last_call_stats_; }
 
   /// Linear-memory footprint right now (bytes). Fig. 5c probes this.
@@ -115,7 +103,6 @@ class Plugin {
   std::unique_ptr<wasm::Instance> instance_;
   Exchange exchange_;
   PluginLimits limits_;
-  PluginStats stats_;
   wasm::CallStats last_call_stats_;
 };
 

@@ -30,11 +30,9 @@ struct AgentStats {
   uint64_t cqi_table_updates = 0;
   uint64_t handovers = 0;
   uint64_t period_updates = 0;
-  // Aggregate comm+ctl plugin execution cost on the gNB's critical path,
-  // from the engine's per-call CallStats (the slot-budget share the
-  // sandboxed wire/control plugins consumed).
+  // Fuel the comm + ctl plugins consumed on the gNB's critical path: the
+  // sum of the two slots' CallCostAcc::total_fuel(), filled by stats().
   uint64_t plugin_fuel_used = 0;
-  uint64_t plugin_wall_ns = 0;
 };
 
 class GnbAgent {
@@ -80,15 +78,9 @@ class GnbAgent {
   /// applies control messages through the control plugin.
   Status poll();
 
-  const AgentStats& stats() const { return stats_; }
+  AgentStats stats() const;
   uint32_t cqi_table_index() const { return cqi_table_index_; }
   uint32_t cell_id() const { return cell_id_; }
-
-  /// Call-cost distribution for one of the agent's plugin slots ("comm" or
-  /// "ctl"); null if that plugin is not loaded.
-  const CallCostAcc* plugin_cost(const std::string& slot) const {
-    return plugins_.cost(slot);
-  }
 
   /// The agent's plugin manager ("comm" + "ctl" slots, domain
   /// "gnb<cell_id>") — for health introspection and fault injection.
@@ -107,7 +99,6 @@ class GnbAgent {
 
  private:
   wasm::Linker control_host_functions();
-  void account_plugin(const std::string& slot);
 
   uint32_t cell_id_;
   ran::GnbMac& mac_;

@@ -33,12 +33,6 @@ class WasmIntraScheduler final : public ran::IntraSliceScheduler {
   const char* name() const override { return name_.c_str(); }
   const std::string& slot() const { return slot_; }
 
-  /// Call-cost distribution of this scheduler's plugin slot (fuel,
-  /// instructions, exact p50/p99 wall time, peak interpreter stack depth),
-  /// accumulated by the manager from the engine's CallStats. This is the
-  /// number Fig. 5d reports: sandbox crossing plus codec work per decision.
-  const CallCostAcc* cost() const { return manager_.cost(slot_); }
-
  private:
   plugin::PluginManager& manager_;
   std::string slot_;

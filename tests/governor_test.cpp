@@ -123,10 +123,10 @@ TEST(Governor, ApplyDrivesRealPluginBudgets) {
   for (int slot_tick = 0; slot_tick < 20 && !heavy_succeeded; ++slot_tick) {
     auto light = mgr.call("light", "run", {});
     ASSERT_TRUE(light.ok());
-    gov.record_usage("light", mgr.plugin("light")->last_call_instructions());
+    gov.record_usage("light", mgr.plugin("light")->last_call_stats().instrs_retired);
 
     auto heavy = mgr.call("heavy", "run", {});
-    gov.record_usage("heavy", mgr.plugin("heavy")->last_call_instructions());
+    gov.record_usage("heavy", mgr.plugin("heavy")->last_call_stats().instrs_retired);
     heavy_succeeded = heavy.ok();
 
     gov.apply(mgr);

@@ -127,10 +127,10 @@ TEST(SliceIsolation, FuelBurnerCannotStealComputeFromGovernedPeers) {
   for (int tick = 0; tick < 30; ++tick) {
     auto spun = mgr.call("spinner", "schedule", input);
     EXPECT_FALSE(spun.ok());  // always burns its whole allocation
-    gov.record_usage("spinner", mgr.plugin("spinner")->last_call_instructions());
+    gov.record_usage("spinner", mgr.plugin("spinner")->last_call_stats().instrs_retired);
     auto ok = mgr.call("victim", "schedule", input);
     EXPECT_TRUE(ok.ok()) << tick;  // victim always completes
-    gov.record_usage("victim", mgr.plugin("victim")->last_call_instructions());
+    gov.record_usage("victim", mgr.plugin("victim")->last_call_stats().instrs_retired);
     gov.apply(mgr);
   }
   // The spinner soaked up the spare budget, but never below the floor.

@@ -3,6 +3,9 @@
 // §5C (flexibility) and §5D (memory safety) results.
 #include <gtest/gtest.h>
 
+#include "tests/heap_probe_guard.h"
+
+#include "common/tracked_alloc.h"
 #include "plugin/manager.h"
 #include "plugin/plugin.h"
 #include "wcc/compiler.h"
@@ -49,8 +52,7 @@ TEST(Plugin, EchoRoundTrip) {
   auto out = (*p)->call("run", input);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, input);
-  EXPECT_EQ((*p)->stats().calls, 1u);
-  EXPECT_EQ((*p)->stats().traps, 0u);
+  EXPECT_GT((*p)->last_call_stats().instrs_retired, 0u);  // dispatched
 }
 
 TEST(Plugin, SumComputes) {
@@ -123,7 +125,7 @@ TEST(Plugin, FuelExhaustionIsContained) {
   auto out = (*p)->call("run", {});
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.error().code, Error::Code::kFuelExhausted);
-  EXPECT_EQ((*p)->stats().fuel_exhaustions, 1u);
+  EXPECT_EQ((*p)->last_call_stats().fuel_used, 1000u);  // the whole budget
 }
 
 TEST(Plugin, TrapDoesNotPoisonNextCall) {
@@ -135,11 +137,11 @@ TEST(Plugin, TrapDoesNotPoisonNextCall) {
   ASSERT_TRUE(p.ok());
   for (int i = 0; i < 5; ++i) {
     auto bad = (*p)->call("crash", {});
-    EXPECT_FALSE(bad.ok());
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.error().code, Error::Code::kTrap);
     auto good = (*p)->call("run", {});
     EXPECT_TRUE(good.ok());
   }
-  EXPECT_EQ((*p)->stats().traps, 5u);
 }
 
 TEST(Plugin, InputTooLargeRejectedBeforeExecution) {
@@ -147,11 +149,13 @@ TEST(Plugin, InputTooLargeRejectedBeforeExecution) {
   limits.max_input_bytes = 8;
   auto p = Plugin::load(compile(kEchoSrc), {}, limits);
   ASSERT_TRUE(p.ok());
+  ASSERT_TRUE((*p)->call("run", std::vector<uint8_t>{1, 2}).ok());
+  ASSERT_GT((*p)->last_call_stats().instrs_retired, 0u);
   std::vector<uint8_t> big(100, 1);
   auto out = (*p)->call("run", big);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.error().code, Error::Code::kLimitExceeded);
-  EXPECT_EQ((*p)->stats().calls, 0u);  // never dispatched
+  EXPECT_EQ((*p)->last_call_stats().instrs_retired, 0u);  // never dispatched
 }
 
 TEST(Plugin, LogLinesCaptured) {
@@ -328,6 +332,26 @@ TEST(Manager, MemoryIsolationBetweenSlots) {
   auto b_out = mgr.call("b", "run", {});
   ASSERT_TRUE(b_out.ok());
   EXPECT_EQ((*b_out)[0], 0);  // b's memory untouched by a's write
+}
+
+TEST(Manager, WarmCallAccountingIsBounded) {
+  // A slot's cost record is fixed-size: once warm, every call allocates
+  // exactly what one warm call does (its output vector), however many
+  // calls the slot has already served.
+  PluginManager mgr;
+  ASSERT_TRUE(mgr.install("s", compile(kEchoSrc)).ok());
+  const std::vector<uint8_t> input = {1, 2, 3};
+  int ok = 0;
+  for (int i = 0; i < 1000; ++i) ok += mgr.call("s", "run", input).ok();
+  uint64_t before = heap_probe::allocations();
+  ok += mgr.call("s", "run", input).ok();
+  const uint64_t per_call = heap_probe::allocations() - before;
+  EXPECT_GT(per_call, 0u);  // the probe is live in this binary
+  before = heap_probe::allocations();
+  for (int i = 0; i < 4000; ++i) ok += mgr.call("s", "run", input).ok();
+  EXPECT_EQ(heap_probe::allocations() - before, 4000 * per_call);
+  EXPECT_EQ(ok, 5001);
+  EXPECT_EQ(mgr.cost("s")->calls(), 5001u);
 }
 
 }  // namespace

@@ -400,6 +400,49 @@ TEST_F(ClosedLoop, FaultyXappIsContainedOthersKeepWorking) {
   EXPECT_GT(agent_->stats().quota_updates, 0u);  // SLA actions still landed
 }
 
+TEST_F(ClosedLoop, FuelStatsEqualSlotCostsWhenCallsNeverEnterTheSandbox) {
+  // A quarantined slot and an injected failure both return before the
+  // sandbox is entered: the crossing costs no fuel, so the agent's and the
+  // RIC's fuel figures must stay the sums of their slots' cost records.
+  auto sla = plugin_sources::sla_xapp();
+  ASSERT_TRUE(sla.ok());
+  ASSERT_TRUE(ric_->add_xapp("sla", *sla).ok());
+  auto round = [&] {
+    ASSERT_TRUE(mac_->run_slots(100).ok());
+    ASSERT_TRUE(agent_->send_indication().ok());
+    ASSERT_TRUE(ric_->poll().ok());
+    ASSERT_TRUE(agent_->poll().ok());
+  };
+  quotas_->set_quota(1, 2);
+  round();  // every slot has run once for real
+  ASSERT_GT(agent_->stats().quota_updates, 0u);
+
+  // ctl always fails (and is quarantined after three faults); the xApp
+  // fails every other indication.
+  agent_->plugins().set_call_interceptor([](const std::string& slot, const std::string&) {
+    plugin::PluginManager::CallIntercept i;
+    if (slot == "ctl") i.fail = Error::trap("injected");
+    return i;
+  });
+  uint32_t xapp_calls = 0;
+  ric_->plugins().set_call_interceptor(
+      [&xapp_calls](const std::string& slot, const std::string&) {
+        plugin::PluginManager::CallIntercept i;
+        if (slot == "xapp:sla" && xapp_calls++ % 2 == 0) i.fail = Error::trap("injected");
+        return i;
+      });
+  for (int r = 0; r < 8; ++r) round();
+  EXPECT_TRUE(agent_->plugins().health("ctl")->quarantined);
+  EXPECT_GT(ric_->plugins().health("xapp:sla")->faults, 0u);
+
+  const auto fuel = [](const plugin::PluginManager& m, const char* slot) {
+    return m.cost(slot)->total_fuel();
+  };
+  EXPECT_EQ(agent_->stats().plugin_fuel_used,
+            fuel(agent_->plugins(), "comm") + fuel(agent_->plugins(), "ctl"));
+  EXPECT_EQ(ric_->stats().xapp_fuel_used, fuel(ric_->plugins(), "xapp:sla"));
+}
+
 TEST_F(ClosedLoop, XappHotSwapChangesPolicyLive) {
   auto sla = plugin_sources::sla_xapp();
   ASSERT_TRUE(sla.ok());

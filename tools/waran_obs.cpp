@@ -449,24 +449,29 @@ int run_scenario(const Options& opt) {
                 obs::TraceRing::instance().snapshot().size(),
                 static_cast<unsigned long long>(obs::TraceRing::instance().writes()),
                 static_cast<unsigned long long>(obs::TraceRing::instance().dropped()));
+    // p50/p99 are the log2 estimates of each slot's registry wall-time
+    // histogram (bucket upper bounds); bench/fig5d_exectime reports exact ones.
     std::printf("\n%-10s %8s %8s %10s %10s %8s %8s\n", "plugin", "calls", "faults",
                 "p50_ns", "p99_ns", "fuel/call", "state");
     for (const Mvno& m : mvnos) {
       const plugin::SlotHealth* h = mgr.health(m.name);
       const CallCostAcc* c = mgr.cost(m.name);
       if (h == nullptr || c == nullptr) continue;
-      std::printf("%-10s %8llu %8llu %10.0f %10.0f %8.0f %8s\n", m.name,
-                  static_cast<unsigned long long>(h->calls),
+      const obs::Histogram& wall = obs::MetricsRegistry::global().histogram(
+          "waran_plugin_wall_ns", {{"domain", mgr.domain()}, {"slot", m.name}});
+      std::printf("%-10s %8llu %8llu %10llu %10llu %8.0f %8s\n", m.name,
+                  static_cast<unsigned long long>(c->calls()),
                   static_cast<unsigned long long>(h->faults),
-                  c->wall_ns().quantile(0.50), c->wall_ns().quantile(0.99),
-                  h->calls ? static_cast<double>(c->total_fuel()) /
-                                 static_cast<double>(h->calls)
-                           : 0.0,
+                  static_cast<unsigned long long>(wall.quantile(0.50)),
+                  static_cast<unsigned long long>(wall.quantile(0.99)),
+                  c->calls() ? static_cast<double>(c->total_fuel()) /
+                                   static_cast<double>(c->calls())
+                             : 0.0,
                   h->quarantined ? "QUAR" : "ok");
     }
     if (const plugin::SlotHealth* h = mgr.health("rogue-co")) {
       std::printf("%-10s %8llu %8llu %10s %10s %8s %8s\n", "rogue-co",
-                  static_cast<unsigned long long>(h->calls),
+                  static_cast<unsigned long long>(mgr.cost("rogue-co")->calls()),
                   static_cast<unsigned long long>(h->faults), "-", "-", "-",
                   h->quarantined ? "QUAR" : "ok");
     }
