@@ -1,16 +1,27 @@
-// waran::chaos episode harness — stands up the full WA-RAN closed loop
-// (three MVNO slices with Wasm schedulers on the gNB MAC, E2-lite agent,
-// Duplex link, near-RT RIC with the SLA xApp), threads one FaultPlan
-// through every chaos hook in the stack, runs the loop for a seeded
-// episode, and then audits the global invariants:
+// waran::chaos episode harness — stands up the full WA-RAN closed loop on
+// a threaded rt::GnbDeployment of N >= 1 cells (each cell three MVNO
+// slices with Wasm schedulers on its MAC, an E2-lite agent and a Duplex
+// link, one worker thread per cell; one near-RT RIC with the SLA xApp
+// shared by all cells). Each cell gets one FaultPlan, threaded through the
+// cell's chaos hooks: the scheduler decorator, the call interceptors of its
+// scheduler slots and its agent's `ctl` slot, its load interceptor, slot
+// padding and its link's fault stage. A further coordinator plan drives
+// the RIC's `xapp:sla` calls. Between report rounds, with every worker
+// parked, the lifecycle sites run per cell: a grower plugin's memory.grow
+// denial, a rotating scheduler hot swap with injected load failures, and
+// quarantine lifting. After the seeded episode one invariant suite audits
+// every cell:
 //
 //   1. The host never crashes: every plugin/link/timing fault is contained
 //      to a Status the loop tolerates.
 //   2. Every injected fault surfaces as exactly one anomaly-journal entry
 //      of the matching kind (or is provably handled without one: denied
-//      grows, empty schedules, dropped frames).
-//   3. Conservation laws hold: PRB grants never exceed carrier capacity,
-//      and link frames balance (sent + duplicated == delivered + dropped).
+//      grows, empty schedules, dropped frames); sanitized grants land in
+//      their own cell's MAC domain; SLO breach entries equal the breached
+//      verdicts, and a breach captures a flight bundle.
+//   3. Conservation laws hold per cell: PRB grants never exceed carrier
+//      capacity, and link frames balance (sent + duplicated == delivered +
+//      dropped) with link fault counters equal to the plan's.
 //   4. Per-slot accounting balances across layers: the registry's call and
 //      trap counters equal the slot's own record (CallCostAcc calls,
 //      SlotHealth traps), and each slot's faults split exactly into traps
@@ -38,10 +49,8 @@ struct EpisodeOptions {
   uint32_t slots_per_round = 15; ///< MAC slots between indications
   PlanConfig plan;
   bool warm_path_probe = true;   ///< run the zero-alloc warm-call probe
-  /// Cells in the gNB (cells > 1 runs the episode against a threaded
-  /// rt::GnbDeployment with one FaultPlan per cell, scoped to the fault
-  /// kinds that are cell-local: scheduler output/call faults, slot
-  /// overruns, and per-link E2 faults).
+  /// Cells in the gNB, each on its own worker thread with its own FaultPlan
+  /// covering every fault kind (0 is treated as 1).
   uint32_t cells = 1;
   /// Run the episode on rt::Clock virtual time: the campaign executes as
   /// fast as the CPU allows (no wall-clock pacing or clock syscalls) and
@@ -60,9 +69,9 @@ struct EpisodeReport {
   uint64_t anomalies = 0;
   uint64_t contained_errors = 0;  ///< non-fatal Status errors the loop absorbed
   uint64_t warm_heap_allocs = 0;  ///< heap allocations during the warm probe
-  /// Multicell episodes run the obs SLO engine with one window per round;
-  /// chaos faults are expected to breach objectives, and the audit checks
-  /// the breach accounting is exact (journal entries == breached verdicts).
+  /// Episodes run the obs SLO engine with one window per round; chaos
+  /// faults are expected to breach objectives, and the audit checks the
+  /// breach accounting is exact (journal entries == breached verdicts).
   uint64_t slo_breach_windows = 0;  ///< evaluation windows flagged unhealthy
   uint64_t slo_breaches = 0;        ///< breached SLO verdicts across windows
   /// Flight-recorder bundle captured at the first unhealthy window (empty

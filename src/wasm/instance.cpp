@@ -2,11 +2,9 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
-#include "common/log.h"
 #include "obs/trace.h"
 #include "rt/clock.h"
 
@@ -93,25 +91,6 @@ Result<std::unique_ptr<Instance>> Instance::instantiate(
   }
 
   Dispatch d = options.dispatch;
-  if (d == Dispatch::kDefault) {
-    // Env override for tests/ops: force a backend everywhere the embedder
-    // left the choice open. Explicit pins (e.g. the differential oracle's
-    // kSwitch instance) are never overridden.
-    if (const char* env = std::getenv("WARAN_DISPATCH"); env != nullptr) {
-      const std::string_view want(env);
-      if (want == "switch") d = Dispatch::kSwitch;
-      else if (want == "threaded") d = Dispatch::kThreaded;
-      else if (!want.empty()) {
-        // A typo ("swtich") must not silently exercise the wrong
-        // dispatcher while appearing to work.
-        WARAN_LOG(kWarn, "wasm",
-                  "unknown WARAN_DISPATCH value '"
-                      << want
-                      << "' (expected switch|threaded); "
-                         "using the default backend");
-      }
-    }
-  }
   if (d == Dispatch::kDefault) {
     d = WARAN_HAS_THREADED_DISPATCH ? Dispatch::kThreaded : Dispatch::kSwitch;
   }

@@ -42,10 +42,7 @@ namespace waran::wasm {
 /// (computed-goto) when the toolchain supports it, else the switch loop;
 /// kSwitch forces the portable loop — differential tests use it as the
 /// oracle against the threaded hot path. Both execute observably identical
-/// semantics (results, traps, fuel, stats). The WARAN_DISPATCH env var
-/// ("switch" | "threaded") forces a dispatcher wherever the embedder left
-/// kDefault; explicit pins — e.g. the differential oracle's — always win
-/// over the env.
+/// semantics (results, traps, fuel, stats).
 enum class Dispatch : uint8_t { kDefault = 0, kThreaded, kSwitch };
 
 struct InstanceOptions {

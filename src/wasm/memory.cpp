@@ -33,13 +33,13 @@ Error Memory::oob_error(uint64_t addr, uint64_t len) {
 
 Status Memory::read_bytes(uint64_t addr, std::span<uint8_t> out) const {
   if (!in_bounds(addr, out.size())) return oob_error(addr, out.size());
-  std::memcpy(out.data(), bytes_.data() + addr, out.size());
+  if (!out.empty()) std::memcpy(out.data(), bytes_.data() + addr, out.size());
   return {};
 }
 
 Status Memory::write_bytes(uint64_t addr, std::span<const uint8_t> in) {
   if (!in_bounds(addr, in.size())) return oob_error(addr, in.size());
-  std::memcpy(bytes_.data() + addr, in.data(), in.size());
+  if (!in.empty()) std::memcpy(bytes_.data() + addr, in.data(), in.size());
   return {};
 }
 

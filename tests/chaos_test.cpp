@@ -7,8 +7,10 @@
 // traffic, not a stubbed counter.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -232,8 +234,9 @@ TEST(ChaosEpisode, VirtualTimeReplaysBitForBit) {
 
 TEST(ChaosEpisode, MultiCellEpisodeHoldsInvariants) {
   // Four cells on four worker threads against the shared RIC, one fault
-  // plan per cell: the full invariant suite (journal attribution, link
-  // conservation, PRB caps, cross-layer accounting) must hold per cell.
+  // plan per cell plus the coordinator's: the full invariant suite (journal
+  // attribution, link conservation, PRB caps, cross-layer accounting) must
+  // hold per cell.
   EpisodeOptions opts;
   opts.seed = 9;
   opts.cells = 4;
@@ -250,6 +253,35 @@ TEST(ChaosEpisode, MultiCellEpisodeHoldsInvariants) {
   EXPECT_EQ(r.injections, r2.injections);
   EXPECT_EQ(r.anomalies, r2.anomalies);
   EXPECT_EQ(r.injected_by_kind, r2.injected_by_kind);
+}
+
+TEST(ChaosEpisode, MultiCellCampaignExercisesLifecycleSites) {
+  // The lifecycle sites (memory.grow denial, hot swap with injected load
+  // failures) and the agent ctl / RIC xApp call faults run in every cell of
+  // a multi-cell episode, not only in single-cell ones.
+  EpisodeOptions opts;
+  opts.cells = 4;
+  opts.virtual_time = true;
+  opts.warm_path_probe = false;
+  std::array<uint64_t, kFaultKindCount> by_kind{};
+  std::set<std::string> domains;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    opts.seed = seed;
+    EpisodeReport r = run_episode(opts);
+    EXPECT_TRUE(r.passed) << summarize(r);
+    for (size_t k = 0; k < kFaultKindCount; ++k) by_kind[k] += r.injected_by_kind[k];
+    for (const auto& inj : r.injection_log) {
+      size_t slash = inj.site.find('/');
+      if (slash != std::string::npos) domains.insert(inj.site.substr(0, slash));
+    }
+  }
+  EXPECT_GT(by_kind[static_cast<size_t>(FaultKind::kLoadFailure)], 0u);
+  EXPECT_GT(by_kind[static_cast<size_t>(FaultKind::kGrowDenial)], 0u);
+  EXPECT_TRUE(domains.contains("ric")) << "no RIC xApp call fault was injected";
+  for (int i = 0; i < 4; ++i) {
+    const std::string gnb = "gnb" + std::to_string(i);
+    EXPECT_TRUE(domains.contains(gnb)) << "no ctl call fault in " << gnb;
+  }
 }
 
 // --- The campaign -----------------------------------------------------------

@@ -4,11 +4,10 @@
 // the budget, per-call CallOptions/CallStats, and the zero-allocation
 // warm-call guarantee (tests/heap_probe_guard.h overrides this binary's
 // operator new to count real heap traffic through the heap probe), and the
-// WARAN_DISPATCH backend override.
+// per-instance dispatch pin.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 
 #include "common/tracked_alloc.h"
@@ -243,40 +242,26 @@ TEST(ExecContext, WarmCallMakesNoHeapAllocations) {
   EXPECT_EQ(after - before, 0u) << "warm Instance::call touched the heap";
 }
 
-// WARAN_DISPATCH forces a dispatcher wherever the embedder left kDefault;
-// an explicit InstanceOptions pin (what the differential oracle uses) wins.
-TEST(ExecContext, EnvKnobSelectsBackendButExplicitPinWins) {
-  ASSERT_EQ(setenv("WARAN_DISPATCH", "switch", 1), 0);
-  auto via_env = instantiate(branchy_module());
-  wasm::InstanceOptions pin;
-  pin.dispatch = wasm::Dispatch::kThreaded;
-  auto pinned = instantiate(branchy_module(), {}, pin);
-  ASSERT_EQ(unsetenv("WARAN_DISPATCH"), 0);
-  ASSERT_NE(via_env, nullptr);
-  ASSERT_NE(pinned, nullptr);
-  EXPECT_EQ(via_env->dispatch(), wasm::Dispatch::kSwitch);
-  EXPECT_EQ(pinned->dispatch(), WARAN_HAS_THREADED_DISPATCH ? wasm::Dispatch::kThreaded
-                                                            : wasm::Dispatch::kSwitch);
+// InstanceOptions::dispatch pins the backend (what the differential oracle
+// uses): both pins run the same program to the same result, and dispatch()
+// reports the pin.
+TEST(ExecContext, ExplicitDispatchPinSelectsBackend) {
+  wasm::InstanceOptions sw;
+  sw.dispatch = wasm::Dispatch::kSwitch;
+  wasm::InstanceOptions th;
+  th.dispatch = wasm::Dispatch::kThreaded;
+  auto via_switch = instantiate(branchy_module(), {}, sw);
+  auto via_threaded = instantiate(branchy_module(), {}, th);
+  ASSERT_NE(via_switch, nullptr);
+  ASSERT_NE(via_threaded, nullptr);
+  EXPECT_EQ(via_switch->dispatch(), wasm::Dispatch::kSwitch);
+  EXPECT_EQ(via_threaded->dispatch(), WARAN_HAS_THREADED_DISPATCH
+                                          ? wasm::Dispatch::kThreaded
+                                          : wasm::Dispatch::kSwitch);
 
   std::vector<TypedValue> arg{{ValType::kI32, Value::from_i32(15)}};
-  EXPECT_EQ(call_i32(*via_env, "sum", arg), call_i32(*pinned, "sum", arg));
-}
-
-// An unknown value warns and falls back to the default dispatcher instead
-// of silently picking another one.
-TEST(ExecContext, UnknownEnvDispatchValueWarnsAndRunsDefault) {
-  ASSERT_EQ(setenv("WARAN_DISPATCH", "specialized", 1), 0);
-  testing::internal::CaptureStderr();
-  auto inst = instantiate(branchy_module());
-  const std::string log = testing::internal::GetCapturedStderr();
-  ASSERT_EQ(unsetenv("WARAN_DISPATCH"), 0);
-  ASSERT_NE(inst, nullptr);
-  EXPECT_NE(log.find("unknown WARAN_DISPATCH value 'specialized'"), std::string::npos)
-      << log;
-  EXPECT_EQ(inst->dispatch(), WARAN_HAS_THREADED_DISPATCH ? wasm::Dispatch::kThreaded
-                                                          : wasm::Dispatch::kSwitch);
-  std::vector<TypedValue> arg{{ValType::kI32, Value::from_i32(15)}};
-  EXPECT_EQ(call_i32(*inst, "sum", arg), 64);
+  EXPECT_EQ(call_i32(*via_switch, "sum", arg), 64);
+  EXPECT_EQ(call_i32(*via_threaded, "sum", arg), 64);
 }
 
 }  // namespace

@@ -12,11 +12,12 @@
 // measures real heap traffic.
 //
 //   waran_chaos --episodes 200 --virtual-time   # faster-than-real-time CI run
-//   waran_chaos --cells 4 --virtual-time        # threaded multi-cell episodes
+//   waran_chaos --cells 4 --virtual-time        # four cells per episode
 //
 // --virtual-time runs every episode on the rt::Clock virtual clock and
 // reports the wall-clock speedup (simulated seconds per real second).
-// --cells N > 1 runs each episode against a threaded N-cell deployment.
+// Every episode runs on a threaded rt::GnbDeployment, one worker thread per
+// cell; --cells N sets the cell count (default 1).
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -46,13 +47,13 @@ void usage(const char* argv0) {
                "                       otherwise)\n"
                "  --rounds R           E2 report rounds per episode\n"
                "  --slots-per-round K  MAC slots between indications\n"
-               "  --cells C            cells per gNB; C > 1 runs each episode\n"
-               "                       on a threaded multi-cell deployment\n"
+               "  --cells C            cells per gNB, one worker thread each\n"
+               "                       (default 1)\n"
                "  --virtual-time       run on the rt virtual clock (no wall\n"
                "                       pacing) and report the speedup\n"
                "  --no-probe           skip the zero-alloc warm-path probe\n"
                "  --flight-dir DIR     write flight-recorder bundles from\n"
-               "                       breaching or failing multicell episodes\n"
+               "                       breaching or failing episodes\n"
                "                       to DIR/flight_<seed>.json\n"
                "  --verbose            print the injection log per episode\n",
                argv0);
@@ -182,9 +183,7 @@ int main(int argc, char** argv) {
   std::printf("  injections: %" PRIu64 "   anomalies: %" PRIu64
               "   failures: %u\n",
               injections, anomalies, failures);
-  if (base.cells > 1) {
-    std::printf("  slo breach windows: %" PRIu64 "\n", slo_breach_windows);
-  }
+  std::printf("  slo breach windows: %" PRIu64 "\n", slo_breach_windows);
   if (base.virtual_time) {
     // Episodes run at 1 simulated second per MAC slot (slot_us = 1'000'000).
     // total_slots counts every cell's slots; elapsed simulated time is the
